@@ -74,9 +74,6 @@ class BFS(GasAlgorithm):
     def gather(self, accum, dst_local, values, state=None) -> None:
         np.minimum.at(accum, dst_local, values)
 
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        np.minimum(accum, other, out=accum)
-
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_min
 
@@ -128,9 +125,6 @@ class WCC(GasAlgorithm):
     def gather(self, accum, dst_local, values, state=None) -> None:
         np.minimum.at(accum, dst_local, values)
 
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        np.minimum(accum, other, out=accum)
-
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_min
 
@@ -149,12 +143,14 @@ class SSSP(GasAlgorithm):
     Runs on an undirected weighted graph.  Active vertices scatter
     ``dist + edge weight``; gather keeps the minimum tentative distance;
     apply relaxes and reactivates improved vertices.  Terminates at
-    quiescence; with non-negative weights convergence is guaranteed.
+    quiescence, which non-negative weights guarantee; the runtime
+    rejects negative and non-finite weights at entry.
     """
 
     name = "SSSP"
     needs_undirected = True
     needs_weights = True
+    needs_nonnegative_weights = True
     update_bytes = 8  # destination id + float distance (compact)
     vertex_bytes = 8
     accum_bytes = 4
@@ -192,9 +188,6 @@ class SSSP(GasAlgorithm):
 
     def gather(self, accum, dst_local, values, state=None) -> None:
         np.minimum.at(accum, dst_local, values)
-
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        np.minimum(accum, other, out=accum)
 
     def combine_updates(self, dst, values):
         from repro.algorithms.combiners import combine_by_min

@@ -322,9 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated rule ids to run "
                             "(default: all CHX rules)")
     check.add_argument("--deep", action="store_true",
-                       help="also run the whole-program rules CHX008-017 "
-                            "(call graph, interprocedural dataflow, loop "
-                            "dependence + parallel-safety)")
+                       help="also run the whole-program rules CHX008-023 "
+                            "(call graph, interprocedural dataflow, "
+                            "protocol model)")
     check.add_argument("--stats", action="store_true",
                        help="print per-rule finding/suppression counts "
                             "(text format only; json always includes them)")
@@ -339,15 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="with --baseline: (re)write FILE from the "
                             "current findings instead of checking "
                             "against it")
-    check.add_argument("--kernel-report", action="store_true",
-                       help="print the kernel worklist instead of lint "
-                            "findings: per-(algorithm, phase) static "
-                            "vectorizability, joined with --host-json "
-                            "CPU shares and ranked by share x "
-                            "vectorizable")
-    check.add_argument("--host-json", metavar="FILE", default=None,
-                       help="with --kernel-report: a host metrics JSON "
-                            "written by run --host-profile --host-json")
     check.add_argument("--protocol", action="store_true",
                        help="extract the protocol state machines and "
                             "model-check small clusters instead of "
@@ -549,8 +540,7 @@ def _command_run(args) -> int:
         from repro.core.runtime import ChaosCluster
 
         if host is not None:
-            # Stable join keys: check --kernel-report joins its static
-            # kernel table on job.algorithm + phase names.
+            # Stable keys naming the run the host metrics belong to.
             host.registry.job = {
                 "algorithm": algorithm.name,
                 "cli_name": args.algorithm,
@@ -1035,47 +1025,6 @@ def _rule_stats(result) -> dict:
     return dict(sorted(stats.items()))
 
 
-def _command_check_kernel_report(args) -> int:
-    import json as json_module
-
-    from repro.analysis.flow.kernels import (
-        build_kernel_report,
-        check_kernel_report_schema,
-        format_kernel_report,
-        load_host_doc,
-    )
-
-    host_doc = None
-    if args.host_json:
-        from repro.obs.host import check_host_schema
-
-        try:
-            host_doc = load_host_doc(args.host_json)
-        except (OSError, ValueError) as error:
-            print(f"--host-json {args.host_json}: {error}", file=sys.stderr)
-            return 2
-        errors = check_host_schema(host_doc)
-        if errors:
-            for error in errors:
-                print(f"--host-json {args.host_json}: {error}",
-                      file=sys.stderr)
-            return 2
-
-    doc = build_kernel_report(
-        args.paths, host_doc=host_doc, host_source=args.host_json
-    )
-    errors = check_kernel_report_schema(doc)
-    if errors:  # internal invariant: the builder emits its own schema
-        for error in errors:
-            print(f"kernel report schema: {error}", file=sys.stderr)
-        return 2
-    if args.fmt == "json":
-        print(json_module.dumps(doc, indent=2))
-    else:
-        print(format_kernel_report(doc))
-    return 0
-
-
 def _command_check_protocol(args) -> int:
     import json as json_module
 
@@ -1142,11 +1091,6 @@ def _command_check(args) -> int:
 
     if args.protocol:
         return _command_check_protocol(args)
-    if args.kernel_report:
-        return _command_check_kernel_report(args)
-    if args.host_json:
-        print("--host-json requires --kernel-report", file=sys.stderr)
-        return 2
     if args.write_baseline and not args.baseline:
         print("--write-baseline requires --baseline FILE", file=sys.stderr)
         return 2

@@ -13,8 +13,9 @@ natural Python equivalent with identical semantics.
 
 All three functions must be order-independent (commutative/associative
 in their accumulation effects), which the runtime exploits for parallel
-execution and stealer-accumulator merging — exactly the requirement the
-paper states at the end of Section 2.
+execution and for folding stealers' updates into the master's
+(:class:`repro.core.workload.GatherBuffer`) — exactly the requirement
+the paper states at the end of Section 2.
 """
 
 from __future__ import annotations
@@ -65,8 +66,11 @@ class GasAlgorithm(abc.ABC):
     name: str = "gas"
     #: Requires an undirected (symmetrized) input graph (Table 1 note).
     needs_undirected: bool = False
-    #: Requires edge weights.
+    #: Requires edge weights (which must then be finite).
     needs_weights: bool = False
+    #: With ``needs_weights``: rejects negative weights as well (a
+    #: negative cycle would keep a relaxation from ever quiescing).
+    needs_nonnegative_weights: bool = False
     #: Requires the runtime to pre-compute out-degrees.
     needs_out_degrees: bool = False
     #: Fixed iteration count, or None to run until no updates are produced.
@@ -124,16 +128,6 @@ class GasAlgorithm(abc.ABC):
         before streaming updates (Section 5.2); some algorithms (MCST,
         SCC, Conductance) filter updates against the destination's
         current value.
-        """
-
-    @abc.abstractmethod
-    def merge(self, accum: np.ndarray, other: np.ndarray) -> None:
-        """Merge a stealer's partial accumulator into the master's.
-
-        Position-wise combination with the same semantics as gather
-        (e.g. ``+=`` for sums, ``minimum`` for min-gathers); it must be
-        commutative/associative so the master can fold stealer
-        accumulators in any order (Figure 3).
         """
 
     def combine_updates(

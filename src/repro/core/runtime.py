@@ -242,10 +242,23 @@ class ChaosCluster:
         chaos fuzzer uses this to turn hangs into reportable violations.
         """
         config = self.config
-        if algorithm.needs_weights and not edges.weighted:
-            raise ValueError(
-                f"{algorithm.name} requires edge weights; the input has none"
-            )
+        if algorithm.needs_weights:
+            weight = edges.weight
+            if weight is None:
+                raise ValueError(
+                    f"{algorithm.name} requires edge weights; the input "
+                    f"has none"
+                )
+            if not np.isfinite(weight).all():
+                raise ValueError(
+                    f"{algorithm.name} requires finite edge weights; the "
+                    f"input has NaN or infinite weights"
+                )
+            if algorithm.needs_nonnegative_weights and (weight < 0).any():
+                raise ValueError(
+                    f"{algorithm.name} requires non-negative edge weights; "
+                    f"the input has negative weights"
+                )
 
         layout = self._make_layout(edges.num_vertices, algorithm)
         parts = partition_edges(edges, layout)

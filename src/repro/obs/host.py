@@ -74,11 +74,9 @@ class HostMetricsRegistry:
     def __init__(self, trace_allocations: bool = False):
         self.trace_allocations = trace_allocations
         #: Stable join keys identifying the run that produced these
-        #: metrics (``{"algorithm": …, "machines": …, "seed": …}``).
-        #: ``check --kernel-report --host-json`` joins its static
-        #: kernel table against the document on ``job.algorithm`` plus
-        #: the per-row ``phase`` names, so downstream tools never have
-        #: to guess which run a metrics file belongs to.
+        #: metrics (``{"algorithm": …, "machines": …, "seed": …}``), so
+        #: downstream tools never have to guess which run a metrics
+        #: file belongs to.
         self.job: Optional[dict] = None
         self._entries: Dict[Tuple[int, str, int], _PhaseEntry] = {}
         #: Wall/CPU nanoseconds of the profiled region: the sum of all

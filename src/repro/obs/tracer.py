@@ -19,11 +19,10 @@ Design constraints, in order:
 2. **Determinism.**  All timestamps come from the simulated clock; the
    recording order is the (deterministic) simulation callback order, so
    two runs with the same seed produce byte-identical exports.
-3. **Multi-run composition.**  Drivers (MCST, SCC) and the recovery
-   harness execute several simulations back to back, each with a fresh
-   clock starting at zero; :meth:`Tracer.bind_run` re-bases subsequent
-   events after everything already recorded so the runs appear
-   sequentially on one timeline.
+3. **Multi-run composition.**  Drivers (MCST, SCC) execute several
+   simulations back to back, each with a fresh clock starting at zero;
+   :meth:`Tracer.bind_run` re-bases subsequent events after everything
+   already recorded so the runs appear sequentially on one timeline.
 
 Timestamps are stored in simulated **seconds**; the Chrome exporter
 (:mod:`repro.obs.export`) converts to the microseconds the

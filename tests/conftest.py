@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings as hypothesis_settings
 
-from repro.core import ClusterConfig
+from repro.core import ClusterConfig, GasAlgorithm
 
 # Property tests run real cluster simulations; wall-clock deadlines make
 # them flaky under load (e.g. while the benchmark suite runs next door).
@@ -65,3 +65,36 @@ def config4():
 @pytest.fixture
 def config1():
     return fast_config(1)
+
+
+class BoundedIterations:
+    """Wrapper that stops a quiescence-based algorithm after N iterations
+    (used to capture the vertex values a checkpoint would hold at that
+    barrier).
+
+    Duck-typed rather than a :class:`GasAlgorithm` subclass: everything
+    except ``finished`` — including any algorithm-specific extension
+    hooks the engine probes for — forwards to the wrapped instance.
+    """
+
+    def __init__(self, inner: GasAlgorithm, iterations: int):
+        self._inner = inner
+        self.name = inner.name
+        self.needs_undirected = inner.needs_undirected
+        self.needs_weights = inner.needs_weights
+        self.needs_out_degrees = inner.needs_out_degrees
+        self.update_bytes = inner.update_bytes
+        self.vertex_bytes = inner.vertex_bytes
+        self.accum_bytes = inner.accum_bytes
+        self.max_iterations = iterations
+
+    def __getattr__(self, name):
+        # Only reached for attributes not set on the wrapper itself
+        # (the bound/overridden ones above and ``finished`` below).
+        return getattr(self._inner, name)
+
+    def finished(self, iteration, stats):
+        # Stop at the bound OR when the inner algorithm converges.
+        if self._inner.finished(iteration, stats):
+            return True
+        return iteration + 1 >= self.max_iterations

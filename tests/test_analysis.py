@@ -489,6 +489,56 @@ class TestSuppression:
         assert result.findings[0].line == 3
 
 
+class TestLoopHeaderSuppression:
+    """Suppression spans on multi-line ``for`` headers: CHX005 reports a
+    set-order loop at the ``for`` line, so a comment on any header line
+    must reach it, while a comment inside the body must not."""
+
+    def test_trailing_comment_on_iterable_suppresses_header_finding(self):
+        result = lint(
+            "def fold(edges):\n"
+            "    pending = set(edges)\n"
+            "    out = []\n"
+            "    for e in (\n"
+            "        pending  # chaos: ignore[CHX005] order-free fold\n"
+            "    ):\n"
+            "        out.append(e)\n"
+            "    return out\n",
+            path=COMPUTE_PATH,
+        )
+        assert result.clean, result.findings
+        assert [(f.rule_id, f.line) for f in result.suppressed] == [
+            ("CHX005", 4)
+        ]
+
+    def test_one_liner_body_on_header_closing_line_suppresses(self):
+        result = lint(
+            "def fold(edges, out):\n"
+            "    pending = set(edges)\n"
+            "    for e in (\n"
+            "        pending\n"
+            "    ): out.append(e)  # chaos: ignore[CHX005]\n",
+            path=COMPUTE_PATH,
+        )
+        assert result.clean, result.findings
+        assert [(f.rule_id, f.line) for f in result.suppressed] == [
+            ("CHX005", 3)
+        ]
+
+    def test_comment_inside_body_does_not_silence_header(self):
+        result = lint(
+            "def fold(edges):\n"
+            "    pending = set(edges)\n"
+            "    out = []\n"
+            "    for e in pending:\n"
+            "        out.append(e)  # chaos: ignore[CHX005]\n"
+            "    return out\n",
+            path=COMPUTE_PATH,
+        )
+        assert rule_ids(result) == ["CHX005"]
+        assert result.findings[0].line == 4
+
+
 class TestEngine:
     def test_syntax_error_reported_as_chx000(self):
         result = lint("def broken(:\n")

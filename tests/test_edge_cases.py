@@ -1,10 +1,14 @@
 """Degenerate-shape edge cases: tiny graphs, empty partitions, more
-machines than vertices, single-vertex graphs."""
+machines than vertices, single-vertex graphs, and inputs that break an
+algorithm's weight preconditions."""
+
+import signal
+import time
 
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, PageRank, WCC, run_mcst, run_scc
+from repro.algorithms import BFS, SSSP, PageRank, WCC, run_mcst, run_scc
 from repro.core.runtime import run_algorithm
 from repro.graph.edgelist import EdgeList
 
@@ -94,3 +98,47 @@ class TestConfigPlumbing:
             PageRank(iterations=1), small_graph, config, machines=3
         )
         assert result.machines == 3
+
+
+def _triangle(weights):
+    """A weighted 3-vertex cycle in both directions (undirected)."""
+    return _tiny(
+        3, [0, 1, 1, 2, 2, 0], [1, 0, 2, 1, 0, 2],
+        weight=np.repeat(np.asarray(weights, dtype=np.float64), 2),
+    )
+
+
+def _rejected_within_one_second(algorithm, graph):
+    """Run ``algorithm`` expecting a fast ``ValueError``; a SIGALRM
+    guard turns a regression into a hang-free failure."""
+
+    def _hung(signum, frame):
+        raise AssertionError("run did not fail fast: still running at 10 s")
+
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError) as raised:
+            run_algorithm(algorithm, graph, fast_config(2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 1.0
+    return str(raised.value)
+
+
+class TestWeightContract:
+    def test_negative_cycle_rejected(self):
+        """A negative cycle would keep SSSP relaxing forever."""
+        message = _rejected_within_one_second(
+            SSSP(root=0), _triangle([1.0, -3.0, 1.0])
+        )
+        assert "non-negative" in message
+
+    def test_nan_weight_rejected(self):
+        """A NaN weight would silently leave reachable vertices at inf."""
+        message = _rejected_within_one_second(
+            SSSP(root=0), _triangle([1.0, np.nan, 1.0])
+        )
+        assert "finite" in message

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import SSSP, WCC, PageRank
+from repro.algorithms import BFS, SSSP, WCC, PageRank
 from repro.core.runtime import ChaosCluster
 from repro.faults import (
     CheckpointRegistry,
@@ -188,6 +188,9 @@ class TestByteIdentity:
             "SSSP": ChaosCluster(config).run(
                 SSSP(root=0), small_undirected_graph
             ),
+            "BFS": ChaosCluster(config).run(
+                BFS(root=0), small_undirected_graph
+            ),
         }
 
     @pytest.mark.parametrize("fault", FAULTS)
@@ -216,6 +219,19 @@ class TestByteIdentity:
             fault_plan=FaultPlan.parse([fault]),
         )
         _assert_byte_identical(result, baselines["SSSP"])
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_bfs(self, fault, small_undirected_graph, baselines):
+        """BFS stamps distances with the iteration number, so recovery
+        must resume the numbering at the checkpointed iteration."""
+        config = _fault_config()
+        cluster = ChaosCluster(config)
+        result = cluster.run(
+            BFS(root=0), small_undirected_graph,
+            fault_plan=FaultPlan.parse([fault]),
+        )
+        _assert_byte_identical(result, baselines["BFS"])
+        assert len(cluster.last_fault_timeline.faults) == 1
 
     def test_crash_without_checkpointing_restarts_from_initial(
         self, small_graph, baselines

@@ -1,28 +1,40 @@
 """Tests for the interprocedural flow layer (``check --deep``).
 
 Covers the project index / call graph builders, the CFG helpers, the
-taint framework, and rules CHX008-CHX012 — each against a small fixture
-package with *planted* violations, asserting that exactly the planted
-sites are reported and that inline suppressions are honored.  Also
-self-hosts the deep check on ``src/`` (must be clean) and verifies the
-call-graph resolution floor.
+taint framework, and rules CHX008-CHX012, CHX016 and CHX018 — each
+against a small fixture package with *planted* violations, asserting
+that exactly the planted sites are reported and that inline
+suppressions are honored.  Also self-hosts the deep check on ``src/``
+(must be clean), verifies the call-graph resolution floor and the
+Workload-dispatch contract, the analyzer-version cache key and the
+finding baseline ratchet.
 """
 
 import ast
 import json
 import textwrap
 
+import pytest
+
 from repro.analysis.flow import (
     CFG,
     CallGraph,
     DeepEngine,
     ProjectIndex,
+    build_call_graph,
     collect_focus_kinds,
     collect_race_candidates,
     definitely_terminates,
     yield_lines,
 )
-from repro.analysis.baseline import load_baseline, split_new
+from repro.analysis.baseline import (
+    baseline_stats,
+    fingerprint,
+    load_baseline,
+    split_new,
+    write_baseline,
+)
+from repro.analysis.findings import Finding
 from repro.analysis.flow.rules import DEEP_RULE_TABLE
 from repro.analysis.sanitizer import Sanitizer
 from repro.cli import main
@@ -621,6 +633,51 @@ class TestCHX012:
 
 
 # ---------------------------------------------------------------------------
+# CHX016: order-sensitive float accumulation outside the protocol
+# ---------------------------------------------------------------------------
+
+
+CHX016_FIXTURE = {
+    "core/__init__.py": "",
+    "core/reduce.py": """
+        def gather(accum, other):
+            accum += other
+            return accum
+    """,
+}
+
+
+class TestCHX016:
+    def test_planted_fold_fires_exactly_once(self, tmp_path):
+        build_pkg(tmp_path, CHX016_FIXTURE)
+        found = findings_of(deep_check(tmp_path), "CHX016")
+        assert len(found) == 1, [str(f) for f in found]
+        assert "additive fold" in found[0].message
+
+    def test_exempt_when_caller_fixes_order(self, tmp_path):
+        build_pkg(
+            tmp_path,
+            {
+                "core/__init__.py": "",
+                "core/reduce.py": """
+                    def canonical_update_order(updates):
+                        return sorted(updates)
+
+                    def gather(accum, other):
+                        accum += other
+                        return accum
+
+                    def fold_all(accum, updates):
+                        for u in canonical_update_order(updates):
+                            accum = gather(accum, u)
+                        return accum
+                """,
+            },
+        )
+        assert findings_of(deep_check(tmp_path), "CHX016") == []
+
+
+# ---------------------------------------------------------------------------
 # CHX018: unseeded RNG in fault-injection / fuzzing code
 # ---------------------------------------------------------------------------
 
@@ -795,11 +852,7 @@ class TestDeepEngine:
             "CHX010",
             "CHX011",
             "CHX012",
-            "CHX013",
-            "CHX014",
-            "CHX015",
             "CHX016",
-            "CHX017",
             "CHX018",
             "CHX019",
             "CHX020",
@@ -814,9 +867,9 @@ class TestDeepSelfHost:
     def test_src_is_clean_under_deep_check(self):
         """The repo self-hosts its own interprocedural rules.
 
-        CHX013–017 grandfather their day-one findings through the
-        committed baseline (that worklist is what the vectorization
-        arc burns down); anything *new* fails here.
+        The committed baseline grandfathers exactly two CHX021 findings
+        (untimed waits in ``core/compute.py``); anything *new* fails
+        here.
         """
         result = DeepEngine().check_paths(["src"])
         baseline = load_baseline(".chaos-baseline.json")
@@ -882,3 +935,139 @@ class TestDeepCLI:
         assert code == 1
         assert "::error file=" in out
         assert "CHX012" in out
+
+
+# ---------------------------------------------------------------------------
+# analyzer-version cache key
+# ---------------------------------------------------------------------------
+
+
+class TestAnalyzerVersionCacheKey:
+    def test_version_bump_invalidates_cache(self, tmp_path, monkeypatch):
+        pkg = build_pkg(tmp_path / "pkg", CHX016_FIXTURE)
+        cache = tmp_path / "cache"
+        engine = DeepEngine()
+        first = engine.check_paths([str(pkg)], cache_dir=str(cache))
+        assert first.cache_hit is False
+        second = engine.check_paths([str(pkg)], cache_dir=str(cache))
+        assert second.cache_hit is True
+
+        monkeypatch.setattr(
+            "repro.analysis.flow.engine.ANALYZER_VERSION", 99
+        )
+        third = engine.check_paths([str(pkg)], cache_dir=str(cache))
+        assert third.cache_hit is False
+        assert [f.rule_id for f in third.result.findings] == ["CHX016"]
+
+
+# ---------------------------------------------------------------------------
+# Workload dispatch through the call graph
+# ---------------------------------------------------------------------------
+
+
+class TestWorkloadDispatch:
+    def test_engine_resolves_workload_kernels_through_base(self):
+        index = ProjectIndex.build(["src"])
+        graph = build_call_graph(index)
+
+        def targets_of(caller, callee):
+            return {
+                target
+                for site in graph.call_sites_in(caller)
+                if site.name == callee
+                for target in site.targets
+            }
+
+        process_chunk = "repro.core.compute.ComputationEngine._process_chunk"
+        scatter = targets_of(process_chunk, "scatter_chunk")
+        assert "repro.core.workload.Workload.scatter_chunk" in scatter
+        assert "repro.core.workload.DataWorkload.scatter_chunk" in scatter
+        assert "repro.core.workload.ModelWorkload.scatter_chunk" in scatter
+        gather = targets_of(process_chunk, "gather_chunk")
+        assert "repro.core.workload.DataWorkload.gather_chunk" in gather
+        apply_ = targets_of(
+            "repro.core.compute.ComputationEngine._finish_gather_master",
+            "apply_partition",
+        )
+        assert "repro.core.workload.DataWorkload.apply_partition" in apply_
+
+        stats = graph.resolution_stats()
+        assert stats["project_resolution_fraction"] >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# finding baseline ratchet
+# ---------------------------------------------------------------------------
+
+
+def _finding(file="core/reduce.py", rule="CHX016", line=4, message=None):
+    return Finding(
+        file=file,
+        line=line,
+        rule_id=rule,
+        severity="warning",
+        message=message or "additive fold at line %d" % line,
+    )
+
+
+class TestBaselineRatchet:
+    def test_fingerprint_is_line_stable(self):
+        a = _finding(line=4, message="fold at line 4 is unordered")
+        b = _finding(line=90, message="fold at line 90 is unordered")
+        assert fingerprint(a) == fingerprint(b)
+        c = _finding(message="a different defect entirely")
+        assert fingerprint(a) != fingerprint(c)
+
+    def test_round_trip_and_split(self, tmp_path):
+        path = str(tmp_path / "baseline.json")
+        old = _finding(message="known defect")
+        count = write_baseline([old, old], path)
+        assert count == 1
+        baseline = load_baseline(path)
+        fresh = _finding(message="brand new defect")
+        new, grandfathered = split_new([old, fresh], baseline)
+        assert new == [fresh]
+        assert grandfathered == [old]
+        stats = baseline_stats([old, fresh], baseline)
+        assert stats == {"entries": 1, "matched": 1, "new": 1, "stale": 0}
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"baseline_version": 999, "entries": []}))
+        with pytest.raises(ValueError):
+            load_baseline(str(path))
+
+    def test_cli_ratchet_suppresses_old_fails_new(self, tmp_path, capsys):
+        pkg = build_pkg(tmp_path / "pkg", dict(CHX016_FIXTURE))
+        baseline = str(tmp_path / "baseline.json")
+
+        code = main(
+            ["check", str(pkg), "--deep", "--baseline", baseline,
+             "--write-baseline"]
+        )
+        assert code == 0
+        assert "baseline:" in capsys.readouterr().err
+
+        code = main(["check", str(pkg), "--deep", "--baseline", baseline])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "grandfathered" in captured.err
+
+        # A brand-new finding in another file must fail the ratchet.
+        (pkg / "core" / "fresh.py").write_text(
+            textwrap.dedent(
+                """
+                def gather_chunk(accum, values):
+                    accum += values
+                """
+            )
+        )
+        code = main(["check", str(pkg), "--deep", "--baseline", baseline])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "fresh.py" in out
+        assert "reduce.py" not in out
+
+    def test_cli_write_baseline_requires_baseline(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path), "--write-baseline"]) == 2
+        capsys.readouterr()

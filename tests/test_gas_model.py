@@ -14,6 +14,7 @@ from repro.algorithms import (
     SpMV,
 )
 from repro.core.gas import GasAlgorithm, GraphContext
+from repro.core.workload import GatherBuffer, canonical_update_order
 
 
 ALL_SINGLE_JOB = [
@@ -103,8 +104,10 @@ class TestConstructorValidation:
 
 
 class TestGatherMergeConsistency:
-    """merge(a, b) must equal gathering b's constituents into a —
-    the algebraic requirement behind stealer-accumulator merging."""
+    """Merging a stealer's buffered updates into the master's and
+    replaying them in canonical order must equal gathering every
+    update into one accumulator — the algebraic requirement behind
+    stealer-accumulator merging."""
 
     @pytest.mark.parametrize(
         "algorithm",
@@ -133,13 +136,17 @@ class TestGatherMergeConsistency:
         algorithm.gather(combined, dst_a, values_a)
         algorithm.gather(combined, dst_b, values_b)
 
-        partial_a = algorithm.make_accumulator(8)
-        algorithm.gather(partial_a, dst_a, values_a)
-        partial_b = algorithm.make_accumulator(8)
-        algorithm.gather(partial_b, dst_b, values_b)
-        algorithm.merge(partial_a, partial_b)
+        master = GatherBuffer()
+        master.append(dst_a, values_a)
+        stealer = GatherBuffer()
+        stealer.append(dst_b, values_b)
+        master.extend(stealer)
+        merged = master.merged()
+        order = canonical_update_order(merged["dst"], merged["value"])
+        replayed = algorithm.make_accumulator(8)
+        algorithm.gather(replayed, merged["dst"][order], merged["value"][order])
 
         assert np.allclose(
-            np.asarray(partial_a, dtype=np.float64),
+            np.asarray(replayed, dtype=np.float64),
             np.asarray(combined, dtype=np.float64),
         )

@@ -5,7 +5,7 @@ three exporters (collapsed-stack, Prometheus, JSON schema) round-trip,
 the report formatting, the hostclock single-entry-point lint contract,
 and the end-to-end properties the ``--host-profile`` flag promises: it
 never changes simulation results, and the per-phase host wall times sum
-to the profiled region total.
+to the profiled region total; plus the ``job`` keys naming the run.
 """
 
 import ast
@@ -333,3 +333,39 @@ class TestHostclockContract:
         finally:
             hostclock.stop_allocation_tracing()
         assert not hostclock.allocation_tracing_active()
+
+
+# ---------------------------------------------------------------------------
+# host-profile job keys
+# ---------------------------------------------------------------------------
+
+
+def pr_host_doc(machines=2, scale=7, iterations=4):
+    graph = rmat_graph(scale, seed=7)
+    profiler = HostProfiler()
+    run_algorithm(
+        PageRank(iterations=iterations), graph, machines=machines,
+        host=profiler,
+    )
+    registry = profiler.finalize()
+    registry.job = {
+        "algorithm": "PR",
+        "cli_name": "PR",
+        "machines": machines,
+        "seed": 0,
+    }
+    return registry.to_dict()
+
+
+class TestHostJobKeys:
+    def test_job_keys_survive_to_dict_and_schema(self):
+        doc = pr_host_doc(machines=2)
+        assert doc["job"] == {
+            "algorithm": "PR", "cli_name": "PR", "machines": 2, "seed": 0,
+        }
+        assert check_host_schema(doc) == []
+
+    def test_schema_rejects_malformed_job(self):
+        doc = pr_host_doc()
+        doc["job"] = {"algorithm": 7}
+        assert check_host_schema(doc)

@@ -13,7 +13,8 @@ import pytest
 from repro import ClusterConfig, PageRank, rmat_graph, run_algorithm
 from repro.algorithms import BFS, run_mcst
 from repro.core.metrics import BREAKDOWN_CATEGORIES
-from repro.core.recovery import run_with_failure
+from repro.core.runtime import ChaosCluster
+from repro.faults import FaultPlan
 from repro.graph.convert import to_undirected
 from repro.obs import (
     CounterRegistry,
@@ -299,18 +300,21 @@ class TestDriversAndRecovery:
         config = ClusterConfig(machines=2, chunk_bytes=4096,
                                checkpointing=True)
         tracer = Tracer(sample_interval=None)
-        report = run_with_failure(
-            lambda: BFS(root=0), graph, config,
-            fail_after_iterations=1, tracer=tracer,
+        cluster = ChaosCluster(config, tracer=tracer)
+        result = cluster.run(
+            BFS(root=0), graph,
+            fault_plan=FaultPlan.parse(["crash:1@iter=1"]),
         )
-        assert report.result.iterations >= 1
-        assert tracer.open_span_count() == 0
+        assert result.iterations >= 1
+        # (The killed machine's open spans are stranded by design.)
         summary = summarize_trace(chrome_trace_dict(tracer))
-        assert summary.instants.get("failure") == 1
+        assert summary.instants.get("fault.inject") == 1
+        assert summary.spans["lost"].count == 1
         restore = summary.spans.get("restore")
         assert restore is not None and restore.count == 1
-        assert restore.total == pytest.approx(report.restore_seconds,
-                                              rel=1e-6)
+        assert restore.total == pytest.approx(
+            cluster.last_fault_timeline.restore_seconds, rel=1e-6
+        )
 
 
 class TestResultSurface:

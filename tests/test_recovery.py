@@ -1,18 +1,17 @@
-"""Tests for checkpoint resume and failure recovery (Section 6.6)."""
+"""Tests for checkpoint resume (Section 6.6).
+
+Live crash recovery, which restores the last checkpoint inside the
+simulation and re-executes, is covered by ``tests/test_faults.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import BFS, BeliefPropagation, KCore, PageRank, WCC
-from repro.core.recovery import (
-    RecoveryReport,
-    _BoundedIterations,
-    run_with_failure,
-)
-from repro.core.runtime import ChaosCluster, run_algorithm
+from repro.core.runtime import ChaosCluster
 from repro.graph import rmat_graph, to_undirected
 
-from tests.conftest import fast_config
+from tests.conftest import BoundedIterations, fast_config
 from tests.references import reference_pagerank
 
 
@@ -84,7 +83,7 @@ class TestStartIterationResume:
     def test_kcore_split_equals_straight_run(self, small_undirected_graph):
         config = fast_config(2)
         straight = ChaosCluster(config).run(KCore(2), small_undirected_graph)
-        bounded = _BoundedIterations(KCore(2), 2)
+        bounded = BoundedIterations(KCore(2), 2)
         first = ChaosCluster(config).run(bounded, small_undirected_graph)
         resumed = ChaosCluster(config).run(
             KCore(2),
@@ -102,7 +101,7 @@ class TestStartIterationResume:
         graph = to_undirected(rmat_graph(8, seed=3, weighted=True))
         config = fast_config(2)
         straight = ChaosCluster(config).run(BFS(root=0), graph)
-        bounded = _BoundedIterations(BFS(root=0), 2)
+        bounded = BoundedIterations(BFS(root=0), 2)
         first = ChaosCluster(config).run(bounded, graph)
         resumed = ChaosCluster(config).run(
             BFS(root=0),
@@ -118,7 +117,7 @@ class TestStartIterationResume:
 class TestBoundedIterationsForwarding:
     def test_forwards_unknown_hooks_to_inner(self):
         inner = PageRank(iterations=5)
-        bounded = _BoundedIterations(inner, 2)
+        bounded = BoundedIterations(inner, 2)
         # Delegation is generic: any hook the engine probes for reaches
         # the wrapped algorithm without a hand-written stub.
         assert bounded.scatter == inner.scatter
@@ -131,123 +130,6 @@ class TestBoundedIterationsForwarding:
     def test_finished_stops_at_bound(self, small_graph):
         config = fast_config(2)
         result = ChaosCluster(config).run(
-            _BoundedIterations(PageRank(iterations=5), 2), small_graph
+            BoundedIterations(PageRank(iterations=5), 2), small_graph
         )
         assert result.iterations == 2
-
-
-class TestRunWithFailure:
-    def test_recovered_result_matches_baseline(self, small_graph):
-        config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: PageRank(iterations=4),
-            small_graph,
-            config,
-            fail_after_iterations=2,
-        )
-        expected = reference_pagerank(small_graph, iterations=4)
-        assert np.allclose(report.result.values["rank"], expected)
-
-    def test_recovery_for_quiescent_algorithm(self):
-        graph = to_undirected(rmat_graph(8, seed=6, weighted=True))
-        config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: BFS(root=0), graph, config, fail_after_iterations=1
-        )
-        baseline = run_algorithm(BFS(root=0), graph, config)
-        assert np.array_equal(
-            report.result.values["distance"], baseline.values["distance"]
-        )
-
-    def test_timeline_decomposition(self, small_graph):
-        config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: PageRank(iterations=4),
-            small_graph,
-            config,
-            fail_after_iterations=2,
-        )
-        assert report.failed_iteration == 2
-        assert report.time_before_failure > 0
-        assert report.restore_seconds > 0
-        assert report.time_after_restore > 0
-        assert report.total_runtime == pytest.approx(
-            report.time_before_failure
-            + report.restore_seconds
-            + report.time_after_restore
-        )
-        # Recovering costs extra time, but not a full re-run.
-        assert report.total_runtime > report.baseline_runtime
-        assert report.total_runtime < 2.5 * report.baseline_runtime
-        assert "failed at iteration 2" in report.summary()
-
-    def test_restore_cost_includes_network(self, small_graph):
-        """Restore reads remote checkpoint replicas, so its cost must
-        include the network stage, not just raw device bandwidth: on a
-        slow network the transfer is ingress-bound."""
-        fast_net = fast_config(4, checkpointing=True)
-        slow_net = fast_net.with_(
-            network=fast_net.network.__class__(
-                bandwidth=fast_net.network.bandwidth / 1000,
-                latency=fast_net.network.latency,
-                name="slow",
-            )
-        )
-        factory = lambda: PageRank(iterations=4)
-        fast_report = run_with_failure(
-            factory, small_graph, fast_net, fail_after_iterations=2
-        )
-        slow_report = run_with_failure(
-            factory, small_graph, slow_net, fail_after_iterations=2
-        )
-        # Latency floor: at least one request round trip.
-        assert fast_report.restore_seconds >= fast_net.network.round_trip()
-        # A 1000x slower network must slow the restore.
-        assert slow_report.restore_seconds > 2 * fast_report.restore_seconds
-
-    def test_report_extended_fields(self, small_graph):
-        config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: PageRank(iterations=4),
-            small_graph,
-            config,
-            fail_after_iterations=2,
-        )
-        assert report.values_match_baseline is True
-        assert report.useful_seconds > 0
-        assert report.lost_seconds > 0
-        # The analytic path injects no live faults.
-        assert report.faults == ()
-        assert report.timeline is None
-
-    def test_requires_checkpointing(self, small_graph):
-        with pytest.raises(ValueError, match="checkpointing"):
-            run_with_failure(
-                lambda: PageRank(iterations=2),
-                small_graph,
-                fast_config(2),
-                fail_after_iterations=1,
-            )
-
-    def test_invalid_failure_point(self, small_graph):
-        with pytest.raises(ValueError, match="fail_after_iterations"):
-            run_with_failure(
-                lambda: PageRank(iterations=2),
-                small_graph,
-                fast_config(2, checkpointing=True),
-                fail_after_iterations=0,
-            )
-
-    def test_failure_past_convergence_clamped(self):
-        """Failing 'after iteration 50' of a 3-iteration job clamps to
-        the job's actual length."""
-        graph = to_undirected(rmat_graph(7, seed=2, weighted=True))
-        config = fast_config(2, checkpointing=True)
-        report = run_with_failure(
-            lambda: WCC(), graph, config, fail_after_iterations=50
-        )
-        baseline = run_algorithm(WCC(), graph, config)
-        assert report.failed_iteration <= baseline.iterations
-        assert np.array_equal(
-            report.result.values["label"], baseline.values["label"]
-        )
