@@ -408,7 +408,7 @@ class _Interp:
         canonical = self._canonical(chain) if chain else None
         if canonical is not None:
             label = source_label(canonical)
-            if label is not None and not self._in_hostclock():
+            if label is not None:
                 result |= frozenset({label})
             if (
                 canonical in RNG_FACTORY_CALLS
@@ -477,13 +477,6 @@ class _Interp:
         return result
 
     # -- helpers --------------------------------------------------------
-
-    def _in_hostclock(self) -> bool:
-        """True inside ``repro.obs.hostclock``, the one sanctioned
-        host-clock module: its readings feed the host profiler only,
-        never simulation state, so its summaries stay label-free (the
-        same exemption CHX001 grants it statically)."""
-        return self.func.module.rsplit(".", 1)[-1] == "hostclock"
 
     def _canonical(self, chain: List[str]) -> Optional[str]:
         if self.module is None:

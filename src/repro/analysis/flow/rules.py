@@ -60,8 +60,10 @@ HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
 #:     ghost message kinds).
 #: 5 — CHX013–015 and CHX017 removed with the loop-dependence and
 #:     escape analyses; CHX016 no longer treats ``merge`` as a
-#:     gather-family kernel — this revision.
-ANALYZER_VERSION = 5
+#:     gather-family kernel.
+#: 6 — CHX008 labels wall-clock reads in every sim-package module, with
+#:     no per-module exemption — this revision.
+ANALYZER_VERSION = 6
 
 
 class DeepContext:

@@ -79,11 +79,6 @@ class WallClockRule(Rule):
     _DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 
     def applies(self, ctx: FileContext) -> bool:
-        # repro.obs.hostclock is the single sanctioned host-clock entry
-        # point (host profiling); tests/test_host.py pins the exemption
-        # to exactly this one module.
-        if ctx.parts and ctx.parts[-1] == "hostclock.py":
-            return False
         return ctx.in_packages(SIM_PACKAGES)
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Tuple[int, str]]:
@@ -95,9 +90,8 @@ class WallClockRule(Rule):
                     yield (
                         node.lineno,
                         "importing 'time' in a simulated-clock package; "
-                        "host-side timing must go through "
-                        "repro.obs.hostclock, sim timing through "
-                        "Simulator.now",
+                        "use Simulator.now for sim timing and measure "
+                        "host time from outside the sim packages",
                     )
             return
         if isinstance(node, ast.ImportFrom):

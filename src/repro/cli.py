@@ -176,24 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="with --inject-fault: also run an undisturbed "
                           "twin and exit non-zero unless the final vertex "
                           "values are byte-identical")
-    run.add_argument("--host-profile", nargs="?", const="on",
-                     choices=("on", "tracemalloc"), default=None,
-                     help="measure real host wall/CPU time per engine "
-                          "phase (scatter/gather/apply, chunk serialize/"
-                          "deserialize, message copy); 'tracemalloc' also "
-                          "records allocation deltas; prints the "
-                          "host-profile report and embeds the metrics in "
-                          "--trace files")
-    run.add_argument("--host-json", metavar="PATH",
-                     help="with --host-profile: write the host metrics "
-                          "as JSON")
-    run.add_argument("--host-flamegraph", metavar="PATH",
-                     help="with --host-profile: write collapsed-stack "
-                          "flamegraph text (machine;phase;iteration "
-                          "wall-microseconds)")
-    run.add_argument("--host-prometheus", metavar="PATH",
-                     help="with --host-profile: write Prometheus text "
-                          "exposition format")
     run.add_argument("--attribute", action="store_true",
                      help="record a trace (even without --trace) and "
                           "print the bottleneck-attribution report: "
@@ -222,10 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace-report", help="summarize a --trace JSON file"
     )
     report.add_argument("path", help="trace file written by run --trace")
-    report.add_argument("--top", type=int, default=None,
-                        help="rows to show: top spans (default 12) and, "
-                             "for traces recorded with --host-profile, "
-                             "hottest host phases (default 10)")
+    report.add_argument("--top", type=int, default=12,
+                        help="rows to show: top spans and slowest "
+                             "barrier chains (default 12)")
     report.add_argument("--format", choices=("text", "json"),
                         default="text", dest="fmt",
                         help="output format (json = every table of the "
@@ -300,15 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tolerance", action="append", metavar="METRIC=REL",
                        help="override a metric's relative tolerance for "
                             "--compare, e.g. runtime=0.10 (repeatable)")
-    bench.add_argument("--host", action="store_true",
-                       help="also record host metrics per scenario "
-                            "(host_wall_seconds, host_cpu_seconds, "
-                            "edges_per_sec); compared warn-only unless "
-                            "the baseline carries host_tolerances")
-    bench.add_argument("--repeats", type=int, default=None, metavar="N",
-                       help="run each scenario N times and record the "
-                            "median host metric (default: 3 with --host, "
-                            "1 otherwise)")
 
     check = commands.add_parser(
         "check", help="determinism lint (CHX rules) over source trees"
@@ -457,24 +429,6 @@ def _command_run(args) -> int:
         # Attribution only needs spans, not counter time series.
         tracer = Tracer(sample_interval=None)
 
-    host = None
-    if args.host_profile:
-        if args.algorithm in ("MCST", "SCC"):
-            raise SystemExit(
-                f"--host-profile does not support {args.algorithm}: it is "
-                f"a multi-run driver, not a single GAS job"
-            )
-        from repro.obs import HostProfiler
-
-        host = HostProfiler(
-            trace_allocations=args.host_profile == "tracemalloc"
-        )
-    elif args.host_json or args.host_flamegraph or args.host_prometheus:
-        raise SystemExit(
-            "--host-json/--host-flamegraph/--host-prometheus require "
-            "--host-profile"
-        )
-
     sanitizer = None
     if args.sanitize:
         from repro.analysis import Sanitizer
@@ -539,17 +493,7 @@ def _command_run(args) -> int:
         algorithm = _make_algorithm(args.algorithm, args, graph)
         from repro.core.runtime import ChaosCluster
 
-        if host is not None:
-            # Stable keys naming the run the host metrics belong to.
-            host.registry.job = {
-                "algorithm": algorithm.name,
-                "cli_name": args.algorithm,
-                "machines": args.machines,
-                "seed": args.seed,
-            }
-        cluster = ChaosCluster(
-            config, tracer=tracer, sanitizer=sanitizer, host=host
-        )
+        cluster = ChaosCluster(config, tracer=tracer, sanitizer=sanitizer)
         from repro.faults.diagnosis import UnrecoverableJobError
 
         try:
@@ -561,10 +505,6 @@ def _command_run(args) -> int:
             print(error.diagnosis.render(), file=sys.stderr)
             return 3
         timeline = cluster.last_fault_timeline
-
-    host_doc = None
-    if host is not None:
-        host_doc = host.finalize().to_dict()
 
     recovery_mismatch = False
     if args.verify_recovery:
@@ -582,7 +522,7 @@ def _command_run(args) -> int:
         from repro.obs import write_chrome_trace, write_counters_csv
 
         if args.trace:
-            size = write_chrome_trace(tracer, args.trace, host_metrics=host_doc)
+            size = write_chrome_trace(tracer, args.trace)
             if not args.json:
                 print(f"trace: {len(tracer.events)} events -> "
                       f"{args.trace} ({size / 1e3:.1f} kB)")
@@ -591,31 +531,6 @@ def _command_run(args) -> int:
             if not args.json:
                 print(f"counters: {len(tracer.registry.names())} series -> "
                       f"{args.trace_csv}")
-
-    if host_doc is not None:
-        import json as json_module
-
-        from repro.obs import to_collapsed_stack, to_prometheus
-
-        if args.host_json:
-            with open(args.host_json, "w") as handle:
-                json_module.dump(host_doc, handle, sort_keys=True, indent=2)
-                handle.write("\n")
-            if not args.json:
-                print(f"host metrics: {len(host_doc['phases'])} phase "
-                      f"record(s) -> {args.host_json}")
-        if args.host_flamegraph:
-            with open(args.host_flamegraph, "w") as handle:
-                handle.write(to_collapsed_stack(host_doc))
-            if not args.json:
-                print(f"host flamegraph: -> {args.host_flamegraph}")
-        if args.host_prometheus:
-            with open(args.host_prometheus, "w") as handle:
-                handle.write(
-                    to_prometheus(host_doc, integrity=result.integrity)
-                )
-            if not args.json:
-                print(f"host prometheus: -> {args.host_prometheus}")
 
     attribution = None
     if args.attribute:
@@ -629,14 +544,11 @@ def _command_run(args) -> int:
     failed = sanitize_failed or recovery_mismatch
 
     if args.json:
-        if attribution is not None or host_doc is not None:
+        if attribution is not None:
             import json as json_module
 
             payload = result.to_dict()
-            if attribution is not None:
-                payload["attribution"] = attribution.to_dict()
-            if host_doc is not None:
-                payload["host"] = host_doc
+            payload["attribution"] = attribution.to_dict()
             print(json_module.dumps(payload, sort_keys=True, indent=2))
         else:
             print(result.to_json(indent=2))
@@ -681,11 +593,6 @@ def _command_run(args) -> int:
 
         print()
         print(format_attribution_report(attribution))
-    if host_doc is not None:
-        from repro.obs import format_host_report
-
-        print()
-        print(format_host_report(host_doc))
     return 1 if failed else 0
 
 
@@ -739,8 +646,6 @@ def _command_trace_report(args) -> int:
     )
     from repro.obs.report import load_trace, trace_report_json
 
-    span_top = args.top if args.top is not None else 12
-    host_top = args.top if args.top is not None else 10
     try:
         trace = load_trace(args.path)
     except (OSError, ValueError) as error:
@@ -748,14 +653,14 @@ def _command_trace_report(args) -> int:
     if args.fmt == "json":
         print(
             json_module.dumps(
-                trace_report_json(trace, top=span_top),
+                trace_report_json(trace, top=args.top),
                 sort_keys=True,
                 indent=2,
             )
         )
         return 0
     summary = summarize_trace(trace)
-    print(format_trace_report(summary, top=span_top))
+    print(format_trace_report(summary, top=args.top))
     try:
         attribution = analyze_chrome_trace(trace)
     except AttributionError:
@@ -775,7 +680,7 @@ def _command_trace_report(args) -> int:
     except causal_mod.CausalError:
         causal_events = None  # pre-causal trace
     if causal_events:
-        chains = causal_mod.slowest_chains(causal_events, span_top)
+        chains = causal_mod.slowest_chains(causal_events, args.top)
         if chains:
             print()
             print(f"slowest barrier chains (top {len(chains)}):")
@@ -791,17 +696,6 @@ def _command_trace_report(args) -> int:
                     f"reconciled"
                     + ("" if not bad else "  MISMATCH")
                 )
-    host_doc = trace.get("hostMetrics")
-    if host_doc is not None:
-        from repro.obs import format_host_report
-
-        # The sim-to-host skew table: simulated span seconds next to the
-        # real host cost of the same phase (run --host-profile --trace).
-        sim_spans = {
-            name: stats.total for name, stats in summary.spans.items()
-        }
-        print()
-        print(format_host_report(host_doc, sim_spans=sim_spans, top=host_top))
     return 0
 
 
@@ -939,16 +833,6 @@ def _parse_tolerances(specs):
 def _command_bench(args) -> int:
     from repro.obs import bench
 
-    if args.repeats is not None and (args.list or args.compare):
-        print(
-            "bench: --repeats only applies when running scenarios",
-            file=sys.stderr,
-        )
-        return 2
-    if args.repeats is not None and args.repeats < 1:
-        print("bench: --repeats must be >= 1", file=sys.stderr)
-        return 2
-
     if args.list:
         for scenario in bench.DEFAULT_SCENARIOS:
             print(f"{scenario.name:<16}{scenario.description}")
@@ -961,7 +845,6 @@ def _command_bench(args) -> int:
                 ("--scenario", bool(args.scenario)),
                 ("--label", args.label != "local"),
                 ("--out", bool(args.out)),
-                ("--host", args.host),
             )
             if given
         ]
@@ -991,16 +874,9 @@ def _command_bench(args) -> int:
         raise SystemExit(
             "bench: --tolerance only applies with --compare"
         )
-    repeats = args.repeats if args.repeats is not None else (
-        3 if args.host else 1
-    )
     try:
         snapshot = bench.run_scenarios(
-            args.scenario,
-            label=args.label,
-            progress=print,
-            host=args.host,
-            repeats=repeats,
+            args.scenario, label=args.label, progress=print
         )
     except ValueError as error:
         raise SystemExit(str(error))

@@ -52,7 +52,6 @@ from repro.core.stealing import estimate_cluster_remaining, should_accept_steal
 from repro.core.workload import UpdateBatch, Workload
 from repro.net.retry import RetryPolicy, jittered_delay, retry_rng_seed
 from repro.net.transport import Network
-from repro.obs.host import resolve_host_profiler
 from repro.obs.tracer import NULL_TRACK, TID_CPU, TID_ENGINE
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import CoreBank
@@ -130,7 +129,6 @@ class ComputationEngine:
         input_bytes_share: int = 0,
         tracer=None,
         sanitizer=None,
-        host=None,
         epoch: int = 0,
         preprocess: bool = True,
         registry=None,
@@ -163,12 +161,6 @@ class ComputationEngine:
         self._san = (
             sanitizer if sanitizer is not None and sanitizer.enabled else None
         )
-        # Host profiler (``run --host-profile``): real wall/CPU time of
-        # the synchronous GAS kernels.  Measured sections never span a
-        # yield — the simulator interleaves all machines on one thread,
-        # so timing across a yield would charge other machines' host
-        # time to this engine's phase.
-        self._host = resolve_host_profiler(host)
         # Observability: every span this engine opens carries the
         # Breakdown category it is accounted under, so a trace's
         # category totals reconcile with Figure 17 to float precision.
@@ -656,12 +648,9 @@ class ComputationEngine:
                     write=False,
                     label="scatter.read",
                 )
-            with self._host.measure(
-                self.machine, "scatter", iteration, records=chunk.records
-            ):
-                batches = self.workload.scatter_chunk(
-                    state.partition, chunk, iteration
-                )
+            batches = self.workload.scatter_chunk(
+                state.partition, chunk, iteration
+            )
             for batch in batches:
                 self._buffer_updates(batch)
             self.job.note_scatter(chunk.records, batches)
@@ -685,10 +674,7 @@ class ComputationEngine:
                         write=True,
                         label="gather.accum",
                     )
-            with self._host.measure(
-                self.machine, "gather", iteration, records=chunk.records
-            ):
-                self.workload.gather_chunk(state.partition, state.accum, chunk)
+            self.workload.gather_chunk(state.partition, state.accum, chunk)
         if self._trace_on:
             self.track.instant(
                 "chunk.scatter"
@@ -728,44 +714,43 @@ class ComputationEngine:
         if not batches:
             return
         count = sum(b.count for b in batches)
-        with self._host.measure(self.machine, "serialize", records=count):
-            if batches[0].payload is not None:
-                payload = {
-                    "dst": np.concatenate(
-                        [b.payload["dst"] for b in batches]
-                    ),
-                    "value": np.concatenate(
-                        [b.payload["value"] for b in batches]
-                    ),
-                }
-            else:
-                payload = None
-            if self.config.aggregate_updates and payload is not None:
-                combined = self.workload.algorithm.combine_updates(
-                    payload["dst"], payload["value"]
-                )
-                if combined is not None:
-                    # Combining costs CPU proportional to the records
-                    # merged (the trade-off the paper measured,
-                    # Section 11.1).
-                    self.cores.execute(
-                        count * self.config.cpu_seconds_per_update
-                    )
-                    dst, values = combined
-                    payload = {"dst": dst, "value": values}
-                    count = len(dst)
-                    nbytes = count * self.workload.algorithm.update_bytes
-            self.updates_written_records += count
-            self.updates_written_bytes += nbytes
-            chunk = Chunk(
-                partition=partition,
-                kind=ChunkKind.UPDATES,
-                size=nbytes,
-                payload=payload,
-                records=count,
+        if batches[0].payload is not None:
+            payload = {
+                "dst": np.concatenate(
+                    [b.payload["dst"] for b in batches]
+                ),
+                "value": np.concatenate(
+                    [b.payload["value"] for b in batches]
+                ),
+            }
+        else:
+            payload = None
+        if self.config.aggregate_updates and payload is not None:
+            combined = self.workload.algorithm.combine_updates(
+                payload["dst"], payload["value"]
             )
-            if payload is not None:
-                seal_chunk(chunk)
+            if combined is not None:
+                # Combining costs CPU proportional to the records
+                # merged (the trade-off the paper measured,
+                # Section 11.1).
+                self.cores.execute(
+                    count * self.config.cpu_seconds_per_update
+                )
+                dst, values = combined
+                payload = {"dst": dst, "value": values}
+                count = len(dst)
+                nbytes = count * self.workload.algorithm.update_bytes
+        self.updates_written_records += count
+        self.updates_written_bytes += nbytes
+        chunk = Chunk(
+            partition=partition,
+            kind=ChunkKind.UPDATES,
+            size=nbytes,
+            payload=payload,
+            records=count,
+        )
+        if payload is not None:
+            seal_chunk(chunk)
         target = self._resolve_write_target()
         self._write_chunk(chunk, target)
 
@@ -995,30 +980,29 @@ class ComputationEngine:
         apply_cpu = vertices * self.config.cpu_seconds_per_vertex
         if merge_cpu + apply_cpu > 0:
             yield self.cores.execute(merge_cpu + apply_cpu)
-        with self._host.measure(self.machine, "apply", iteration):
-            for owner, other in state.accums:
-                if self._san is not None and other is not None:
-                    # Reading a stealer's accumulator: ordered by the
-                    # accum message handoff (or it is a race).  The key
-                    # names the stealer that owns the accumulator,
-                    # matching its accum.init/gather.accum writes.
-                    self._san.access(
-                        ("accum", partition, owner),
-                        self.machine,
-                        write=False,
-                        label="merge.read",
-                    )
-                self.workload.merge_accumulators(partition, accum, other)
-            if self._san is not None:
+        for owner, other in state.accums:
+            if self._san is not None and other is not None:
+                # Reading a stealer's accumulator: ordered by the
+                # accum message handoff (or it is a race).  The key
+                # names the stealer that owns the accumulator,
+                # matching its accum.init/gather.accum writes.
                 self._san.access(
-                    ("vertex", partition),
+                    ("accum", partition, owner),
                     self.machine,
-                    write=True,
-                    label="apply.write",
+                    write=False,
+                    label="merge.read",
                 )
-            changed = self.workload.apply_partition(
-                partition, accum, iteration
+            self.workload.merge_accumulators(partition, accum, other)
+        if self._san is not None:
+            self._san.access(
+                ("vertex", partition),
+                self.machine,
+                write=True,
+                label="apply.write",
             )
+        changed = self.workload.apply_partition(
+            partition, accum, iteration
+        )
         self.job.note_apply(changed)
         self.metrics.add("merge", self.sim.now - t1)
         track.end()
@@ -1320,10 +1304,6 @@ class ComputationEngine:
             # reporters must not charge the next iteration.
             stats = self.job.current_stats
             phase_start = self.sim.now
-            # Publish the iteration for measurement sites that have no
-            # iteration argument (store/net handlers): all engines are
-            # barrier-aligned on the same iteration.
-            self._host.set_iteration(self.job.iteration)
             if self._trace_on:
                 track.begin("scatter", args={"iteration": self.job.iteration})
             self.job.begin_scatter()

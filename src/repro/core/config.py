@@ -115,8 +115,36 @@ class ClusterConfig:
             raise ValueError("batch_factor must be >= 1")
         if self.placement not in ("random", "centralized"):
             raise ValueError(f"unknown placement {self.placement!r}")
-        if self.steal_alpha < 0:
-            raise ValueError("steal_alpha must be non-negative")
+        if not self.directory_lookups_per_second > 0:
+            raise ValueError(
+                f"directory_lookups_per_second must be positive, got "
+                f"{self.directory_lookups_per_second!r}"
+            )
+        if (
+            self.partitions_per_machine is not None
+            and self.partitions_per_machine < 1
+        ):
+            raise ValueError(
+                f"partitions_per_machine must be >= 1, got "
+                f"{self.partitions_per_machine!r}"
+            )
+        # NaN compares false against everything, so test the accepted
+        # range rather than the rejected one; math.inf means "always".
+        if not self.steal_alpha >= 0:
+            raise ValueError(
+                f"steal_alpha must be non-negative or math.inf, got "
+                f"{self.steal_alpha!r}"
+            )
+        for name in (
+            "cpu_seconds_per_edge",
+            "cpu_seconds_per_update",
+            "cpu_seconds_per_vertex",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         if (
             self.request_window_override is not None
             and self.request_window_override < 1

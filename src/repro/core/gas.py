@@ -30,14 +30,6 @@ import numpy as np
 #: arrays); a partition's state is a dict of views into the full arrays.
 State = Dict[str, np.ndarray]
 
-#: Canonical names of the three GAS kernel phases.  The host profiler
-#: (:mod:`repro.obs.host`) records real wall/CPU time under exactly
-#: these names when the compute engine runs the corresponding user
-#: function, so sim-time spans and host cost line up span-for-span
-#: (``repro.obs.host.GAS_HOST_PHASES`` mirrors this tuple; a test pins
-#: the two together).
-GAS_PHASES = ("scatter", "gather", "apply")
-
 
 @dataclass
 class GraphContext:

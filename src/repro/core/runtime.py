@@ -174,7 +174,6 @@ class ChaosCluster:
         backend_factory: Optional[Callable[[int], object]] = None,
         tracer=None,
         sanitizer=None,
-        host=None,
     ):
         self.config = config
         self.backend_factory = backend_factory or (lambda _m: MemoryChunkStore())
@@ -188,11 +187,6 @@ class ChaosCluster:
         self.sanitizer = (
             sanitizer if sanitizer is not None and sanitizer.enabled else None
         )
-        #: Host profiler (:mod:`repro.obs.host`): real wall/CPU time per
-        #: engine phase, recorded alongside the simulated spans; ``None``
-        #: (the default) costs nothing — every engine resolves it to the
-        #: no-op null profiler.
-        self.host = host
         #: Introspection handles from the most recent run (protocol
         #: audits and tests): the storage engines and the network.
         self.last_stores: Optional[List[StorageEngine]] = None
@@ -511,7 +505,7 @@ class ChaosCluster:
             )
         network = Network(
             sim, config.machines, config.network, tracer=tracer,
-            sanitizer=sanitizer, host=self.host,
+            sanitizer=sanitizer,
             integrity=config.integrity_checks,
         )
         stores = [
@@ -523,7 +517,6 @@ class ChaosCluster:
                 self.backend_factory(m),
                 tracer=tracer,
                 sanitizer=sanitizer,
-                host=self.host,
                 integrity=config.integrity_checks,
                 job_track=job_track if job_track is not None else NULL_TRACK,
             )
@@ -565,7 +558,6 @@ class ChaosCluster:
                 input_bytes_share=per_machine_input,
                 tracer=tracer,
                 sanitizer=sanitizer,
-                host=self.host,
             )
             for m in range(config.machines)
         ]
@@ -684,13 +676,13 @@ class ChaosCluster:
         # One extra endpoint: the failure-detector monitor.
         network = Network(
             sim, config.machines, config.network, tracer=tracer,
-            host=self.host, extra_endpoints=1,
+            extra_endpoints=1,
             integrity=config.integrity_checks,
         )
         stores = [
             StorageEngine(
                 sim, network, m, config.device, self.backend_factory(m),
-                tracer=tracer, host=self.host,
+                tracer=tracer,
                 integrity=config.integrity_checks,
                 job_track=job_track if job_track is not None else NULL_TRACK,
             )
@@ -738,7 +730,6 @@ class ChaosCluster:
                     barrier=barrier,
                     input_bytes_share=per_machine_input,
                     tracer=tracer,
-                    host=self.host,
                     epoch=epoch,
                     preprocess=preprocess,
                     registry=registry,
@@ -855,7 +846,6 @@ def run_algorithm(
     config: Optional[ClusterConfig] = None,
     tracer=None,
     sanitizer=None,
-    host=None,
     fault_plan=None,
     deadline_seconds=None,
     **config_overrides,
@@ -869,15 +859,13 @@ def run_algorithm(
     ``sanitizer=repro.analysis.Sanitizer()`` to race-check the run's
     cross-machine shared-state accesses, and
     ``fault_plan=repro.faults.FaultPlan.parse([...])`` to inject machine
-    faults and exercise live recovery.  Pass
-    ``host=repro.obs.HostProfiler()`` to measure the real (host) wall
-    and CPU time of each engine phase alongside the simulated spans.
+    faults and exercise live recovery.
     """
     if config is None:
         config = ClusterConfig(**config_overrides)
     elif config_overrides:
         config = config.with_(**config_overrides)
-    cluster = ChaosCluster(config, tracer=tracer, sanitizer=sanitizer, host=host)
+    cluster = ChaosCluster(config, tracer=tracer, sanitizer=sanitizer)
     return cluster.run(
         algorithm, edges, fault_plan=fault_plan,
         deadline_seconds=deadline_seconds,

@@ -18,7 +18,6 @@ from typing import Any, Dict, Tuple
 
 from repro.net.topology import NetworkConfig, Nic, Switch
 from repro.obs.causal import NULL_CAUSAL
-from repro.obs.host import resolve_host_profiler
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import Mailbox
 
@@ -161,7 +160,6 @@ class Network:
         config: NetworkConfig,
         tracer=None,
         sanitizer=None,
-        host=None,
         extra_endpoints: int = 0,
         integrity: bool = True,
     ):
@@ -205,9 +203,6 @@ class Network:
         self._san = (
             sanitizer if sanitizer is not None and sanitizer.enabled else None
         )
-        # Host profiler: real cost of building each in-flight message
-        # (the host-side analogue of the modelled copy cost).
-        self._host = resolve_host_profiler(host)
         self._trace_on = tracer is not None and tracer.enabled
         #: Causal DAG recorder (message sends/deliveries become edges);
         #: the null recorder when tracing is off.
@@ -331,22 +326,21 @@ class Network:
         """
         if not 0 <= dst < len(self.nics):
             raise SimulationError(f"invalid destination machine {dst}")
-        with self._host.measure(src, "msg_copy"):
-            message = Message(
-                src=src,
-                dst=dst,
-                service=service,
-                kind=kind,
-                size=size,
-                payload=payload,
-                send_time=self.sim.now,
-                clock=(
-                    self._san.on_send(src, kind)
-                    if self._san is not None
-                    else None
-                ),
-                epoch=epoch,
-            )
+        message = Message(
+            src=src,
+            dst=dst,
+            service=service,
+            kind=kind,
+            size=size,
+            payload=payload,
+            send_time=self.sim.now,
+            clock=(
+                self._san.on_send(src, kind)
+                if self._san is not None
+                else None
+            ),
+            epoch=epoch,
+        )
         if self.causal.enabled:
             message.ctx = self.causal.on_send(
                 kind, src, dst, size, parent=parent, attempt=attempt

@@ -1,7 +1,7 @@
 """Observability: tracing, time-series telemetry and trace exporters.
 
-Four layers of increasing interpretation — spans, interval attribution,
-host profiling, causal chains:
+Three layers of increasing interpretation — spans, interval attribution,
+causal chains:
 
 * :mod:`repro.obs.tracer` — a zero-cost-when-disabled :class:`Tracer`
   keyed to the simulated clock, recording typed spans, instants and
@@ -9,8 +9,6 @@ host profiling, causal chains:
 * :mod:`repro.obs.critpath` — the bottleneck-attribution analyzer: an
   exact per-machine decomposition of wall clock into resource
   categories, the Eq. 4 utilization check and the straggler detector;
-* :mod:`repro.obs.host` — real host wall/CPU time per engine phase
-  next to the simulated spans (the sim-to-host skew table);
 * :mod:`repro.obs.causal` — message-level causal tracing: every
   simulated message carries a ``(trace, span, parent)`` context, the
   full causal DAG serializes into the trace, and the slowest-chain
@@ -77,20 +75,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_counters_csv,
 )
-from repro.obs.host import (
-    ENGINE_PHASES,
-    HOST_SCHEMA_VERSION,
-    NULL_HOST_PROFILER,
-    HostMetricsRegistry,
-    HostProfiler,
-    NullHostProfiler,
-    check_host_schema,
-    format_host_report,
-    parse_collapsed_stack,
-    to_collapsed_stack,
-    to_prometheus,
-    validate_prometheus,
-)
 from repro.obs.report import (
     RECOVERY_CATEGORIES,
     RECOVERY_WALL_CATEGORIES,
@@ -125,16 +109,10 @@ __all__ = [
     "CausalError",
     "CausalRecorder",
     "CounterRegistry",
-    "ENGINE_PHASES",
-    "HOST_SCHEMA_VERSION",
-    "HostMetricsRegistry",
-    "HostProfiler",
     "NULL_CAUSAL",
-    "NULL_HOST_PROFILER",
     "NULL_TRACER",
     "NULL_TRACK",
     "NullCausalRecorder",
-    "NullHostProfiler",
     "NullTracer",
     "RECOVERY_CATEGORIES",
     "RECOVERY_WALL_CATEGORIES",
@@ -161,24 +139,18 @@ __all__ = [
     "TraceSummary",
     "Tracer",
     "Track",
-    "check_host_schema",
     "chrome_trace_dict",
     "dumps_chrome_trace",
     "format_chain",
     "format_chain_table",
-    "format_host_report",
     "format_trace_report",
     "load_trace",
-    "parse_collapsed_stack",
     "parse_where",
     "slowest_chains",
     "summarize_trace",
     "summarize_trace_file",
     "summary_to_dict",
-    "to_collapsed_stack",
-    "to_prometheus",
     "trace_report_json",
-    "validate_prometheus",
     "write_chrome_trace",
     "write_counters_csv",
 ]

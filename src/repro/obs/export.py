@@ -60,17 +60,8 @@ def _flow_events(causal_events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return flows
 
 
-def chrome_trace_dict(
-    tracer: Tracer, host_metrics: Dict[str, Any] = None
-) -> Dict[str, Any]:
-    """Build the Trace Event Format document for a recorded trace.
-
-    ``host_metrics`` (a :meth:`repro.obs.host.HostMetricsRegistry.to_dict`
-    document) is embedded under a top-level ``hostMetrics`` key — viewers
-    ignore unknown keys, and ``trace-report`` renders the sim-to-host
-    skew table from it.  Embedding host data forfeits the byte-identical
-    guarantee below, which is why it is opt-in (``--host-profile``).
-    """
+def chrome_trace_dict(tracer: Tracer) -> Dict[str, Any]:
+    """Build the Trace Event Format document for a recorded trace."""
     events: List[Dict[str, Any]] = []
     for pid in sorted(tracer.processes):
         events.append(
@@ -110,23 +101,19 @@ def chrome_trace_dict(
         # the delivered-message edges; analyses (slowest chains, trace
         # query) need parents, barriers and marks too.
         document["causalEvents"] = causal_events
-    if host_metrics is not None:
-        document["hostMetrics"] = host_metrics
     return document
 
 
-def dumps_chrome_trace(tracer: Tracer, host_metrics=None) -> str:
+def dumps_chrome_trace(tracer: Tracer) -> str:
     """Serialize deterministically (sorted keys, compact separators)."""
     return json.dumps(
-        chrome_trace_dict(tracer, host_metrics=host_metrics),
-        sort_keys=True,
-        separators=(",", ":"),
+        chrome_trace_dict(tracer), sort_keys=True, separators=(",", ":")
     )
 
 
-def write_chrome_trace(tracer: Tracer, path: str, host_metrics=None) -> int:
+def write_chrome_trace(tracer: Tracer, path: str) -> int:
     """Write the trace JSON to ``path``; returns the byte count."""
-    text = dumps_chrome_trace(tracer, host_metrics=host_metrics)
+    text = dumps_chrome_trace(tracer)
     with open(path, "w") as handle:
         handle.write(text)
     return len(text)

@@ -380,12 +380,10 @@ def trace_report_json(trace: dict, top: int = 12) -> dict:
     Mirrors the text report section-for-section: span/track summary,
     critpath attribution (None for spanless traces), the causal
     slowest-chain table plus its critpath cross-check (None for traces
-    without ``causalEvents``), and the host metrics/skew table (None
-    without ``--host-profile``).
+    without ``causalEvents``).
     """
     from repro.obs import causal as causal_mod
     from repro.obs.critpath import AttributionError, analyze_chrome_trace
-    from repro.obs.host import SIM_SPAN_FOR_PHASE
 
     summary = summarize_trace(trace)
     document: dict = {"summary": summary_to_dict(summary, top=top)}
@@ -414,45 +412,4 @@ def trace_report_json(trace: dict, top: int = 12) -> dict:
         document["slowest_chains"] = None
         document["cross_check"] = None
 
-    host_doc = trace.get("hostMetrics")
-    document["host"] = host_doc
-    skew = None
-    if host_doc is not None:
-        sim_spans = {
-            name: stats.total for name, stats in summary.spans.items()
-        }
-        by_phase = host_doc["totals"]["by_phase"]
-        host_wall_total = sum(
-            agg["wall_seconds"] for agg in by_phase.values()
-        )
-        mapped_sim_total = sum(
-            sim_spans.get(span, 0.0) for span in SIM_SPAN_FOR_PHASE.values()
-        )
-        skew = []
-        for phase in sorted(by_phase):
-            span = SIM_SPAN_FOR_PHASE.get(phase)
-            host_share = (
-                by_phase[phase]["wall_seconds"] / host_wall_total
-                if host_wall_total
-                else 0.0
-            )
-            sim_share = (
-                sim_spans.get(span, 0.0) / mapped_sim_total
-                if span is not None and mapped_sim_total > 0
-                else None
-            )
-            skew.append(
-                {
-                    "phase": phase,
-                    "sim_span": span,
-                    "host_share": host_share,
-                    "sim_share": sim_share,
-                    "skew": (
-                        host_share - sim_share
-                        if sim_share is not None
-                        else None
-                    ),
-                }
-            )
-    document["host_skew"] = skew
     return document

@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.net.transport import Network
-from repro.obs.host import resolve_host_profiler
 from repro.obs.tracer import NULL_TRACK
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import FifoServer
@@ -67,7 +66,6 @@ class StorageEngine:
         backend,
         tracer=None,
         sanitizer=None,
-        host=None,
         integrity: bool = True,
         job_track=NULL_TRACK,
     ):
@@ -85,9 +83,6 @@ class StorageEngine:
         self._san = (
             sanitizer if sanitizer is not None and sanitizer.enabled else None
         )
-        # Host profiler: real wall/CPU cost of chunk (de)serialization
-        # against the backend (``run --host-profile``).
-        self._host = resolve_host_profiler(host)
         self._trace_on = tracer is not None and tracer.enabled
         if self._trace_on:
             from repro.obs.tracer import TID_DEVICE
@@ -312,8 +307,7 @@ class StorageEngine:
                 write=True,
                 label="store.fetch",
             )
-        with self._host.measure(self.machine, "deserialize"):
-            chunk = self.backend.fetch_any(partition, kind)
+        chunk = self.backend.fetch_any(partition, kind)
         if chunk is None:
             self.exhausted_replies += 1
             self._reply(
@@ -492,10 +486,7 @@ class StorageEngine:
                 self.stale_dropped += 1
                 return
             stored = self._written_copy(chunk, label)
-            with self._host.measure(
-                self.machine, "serialize", records=chunk.records
-            ):
-                self.backend.append_chunk(stored)
+            self.backend.append_chunk(stored)
             self._reply(
                 requester,
                 reply_service,
@@ -510,8 +501,7 @@ class StorageEngine:
 
     def _handle_vread(self, message) -> None:
         request_id, requester, reply_service, partition, index = message.payload
-        with self._host.measure(self.machine, "deserialize"):
-            chunk = self.backend.get_vertex_chunk(partition, index)
+        chunk = self.backend.get_vertex_chunk(partition, index)
         if chunk is not None and self.faults.stale_reads > 0:
             stale_getter = getattr(
                 self.backend, "get_previous_vertex_chunk", None
@@ -571,8 +561,7 @@ class StorageEngine:
                 self.stale_dropped += 1
                 return
             stored = self._written_copy(chunk, label)
-            with self._host.measure(self.machine, "serialize"):
-                self.backend.put_vertex_chunk(stored)
+            self.backend.put_vertex_chunk(stored)
             self._reply(
                 requester,
                 reply_service,

@@ -6,6 +6,7 @@ handling, output formats, the CLI entry point and the self-host check:
 the repository's own source tree must be clean.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from repro.analysis import (
     format_json,
     format_text,
 )
+from repro.analysis.lint import SIM_PACKAGES
 from repro.analysis.rules import RULE_TABLE
 from repro.cli import main
 
@@ -51,21 +53,39 @@ class TestWallClock:
         # let wall-clock reads sidestep the call check.
         result = lint("import time\n")
         assert rule_ids(result) == ["CHX001"]
-        assert "repro.obs.hostclock" in result.findings[0].message
+        assert "Simulator.now" in result.findings[0].message
 
     def test_import_and_call_are_two_findings(self):
         result = lint("import time\nt0 = time.time()\n")
         assert rule_ids(result) == ["CHX001", "CHX001"]
         assert [f.line for f in result.findings] == [1, 2]
 
-    def test_hostclock_module_is_exempt(self):
-        # repro/obs/hostclock.py is the single sanctioned host-clock
-        # entry point; CHX001 skips it by module path.
+    def test_no_sim_path_is_exempt(self):
+        # No module in the sim packages may read the host clock, not
+        # even one named for it: host time is measured from outside.
         result = lint(
-            "import time\nt0 = time.perf_counter_ns()\n",
-            path="src/repro/obs/hostclock.py",
+            "t0 = time.perf_counter()\n", path="src/repro/obs/hostclock.py"
         )
-        assert result.clean
+        assert rule_ids(result) == ["CHX001"]
+
+    def test_no_sim_module_imports_time_or_tracemalloc(self):
+        # The sim packages are ordered by the simulated clock; the
+        # host-time ledger lives outside them.
+        source_root = Path(repro.__file__).parent
+        banned = {"time", "tracemalloc"}
+        offenders = []
+        for package in SIM_PACKAGES:
+            for path in sorted((source_root / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Import):
+                        names = [a.name.split(".")[0] for a in node.names]
+                    elif isinstance(node, ast.ImportFrom) and node.module:
+                        names = [node.module.split(".")[0]]
+                    else:
+                        continue
+                    if banned.intersection(names):
+                        offenders.append(f"{path}:{node.lineno}")
+        assert offenders == []
 
     @pytest.mark.parametrize(
         "call", ["time.sleep(1)", "time.perf_counter()", "time.monotonic()",

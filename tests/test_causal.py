@@ -536,15 +536,12 @@ class TestReportIntegration:
             "attribution",
             "slowest_chains",
             "cross_check",
-            "host",
-            "host_skew",
         }
         assert doc["attribution"] is not None
         assert doc["slowest_chains"]
         assert doc["cross_check"] and all(
             r["ok"] for r in doc["cross_check"]
         )
-        assert doc["host"] is None and doc["host_skew"] is None
         assert doc["summary"]["top_spans"]
         json.dumps(doc)  # fully JSON-safe
 
@@ -556,19 +553,6 @@ class TestReportIntegration:
         assert report["slowest_chains"] is None
         assert report["cross_check"] is None
 
-    def test_prometheus_integrity_family(self):
-        from repro.obs import to_prometheus, validate_prometheus
-        from repro.obs.host import HostMetricsRegistry
-
-        doc = HostMetricsRegistry().to_dict()
-        text = to_prometheus(
-            doc, integrity={"messages_corrupted": 2, "retransmits": 1}
-        )
-        assert 'chaos_integrity_events_total{kind="messages_corrupted"} 2' \
-            in text
-        assert 'chaos_integrity_events_total{kind="retransmits"} 1' in text
-        assert validate_prometheus(text) == []
-        assert "chaos_integrity" not in to_prometheus(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -231,121 +231,6 @@ class TestTrace:
             main(["trace-report", str(tmp_path / "nope.json")])
 
 
-class TestHostProfile:
-    def _run_profiled(self, capsys, *extra):
-        code = main(
-            [
-                "run",
-                "--algorithm",
-                "PR",
-                "--iterations",
-                "3",
-                "--scale",
-                "8",
-                "--machines",
-                "2",
-                "--chunk-kb",
-                "4",
-                "--host-profile",
-                *extra,
-            ]
-        )
-        assert code == 0
-        return capsys.readouterr().out
-
-    def test_prints_host_report(self, capsys):
-        out = self._run_profiled(capsys)
-        assert "host profile: region" in out
-        assert "hottest host phases by CPU time" in out
-        assert "edges/sec" in out
-
-    def test_export_files_are_written_and_valid(self, tmp_path, capsys):
-        from repro.obs.host import (
-            check_host_schema,
-            parse_collapsed_stack,
-            validate_prometheus,
-        )
-
-        hj = str(tmp_path / "h.json")
-        hf = str(tmp_path / "h.folded")
-        hp = str(tmp_path / "h.prom")
-        out = self._run_profiled(
-            capsys, "--host-json", hj, "--host-flamegraph", hf,
-            "--host-prometheus", hp,
-        )
-        assert "host metrics:" in out
-        doc = json.load(open(hj))
-        assert check_host_schema(doc) == []
-        assert parse_collapsed_stack(open(hf).read())
-        assert validate_prometheus(open(hp).read()) == []
-
-    def test_trace_embeds_host_metrics(self, tmp_path, capsys):
-        path = str(tmp_path / "t.json")
-        self._run_profiled(capsys, "--trace", path)
-        trace = json.load(open(path))
-        assert trace["traceEvents"]
-        assert trace["hostMetrics"]["host_schema_version"] == 1
-        assert trace["hostMetrics"]["phases"]
-
-    def test_trace_report_shows_skew_table(self, tmp_path, capsys):
-        path = str(tmp_path / "t.json")
-        self._run_profiled(capsys, "--trace", path)
-        assert main(["trace-report", path]) == 0
-        out = capsys.readouterr().out
-        assert "hottest host phases by CPU time" in out
-        assert "sim span" in out and "skew" in out
-        assert "merge_apply" in out  # apply's sim-time counterpart
-
-    def test_trace_report_top_caps_host_rows(self, tmp_path, capsys):
-        path = str(tmp_path / "t.json")
-        self._run_profiled(capsys, "--trace", path)
-        assert main(["trace-report", path, "--top", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "hottest host phases by CPU time (top 2)" in out
-
-    def test_trace_without_host_profile_has_no_host_key(self, tmp_path,
-                                                        capsys):
-        path = str(tmp_path / "t.json")
-        code = main(
-            ["run", "--algorithm", "PR", "--iterations", "1", "--scale",
-             "8", "--machines", "2", "--chunk-kb", "4", "--trace", path]
-        )
-        assert code == 0
-        capsys.readouterr()
-        assert "hostMetrics" not in json.load(open(path))
-
-    def test_json_output_carries_host_document(self, capsys):
-        out = self._run_profiled(capsys, "--json")
-        payload = json.loads(out)
-        assert payload["host"]["phases"]
-        assert payload["host"]["region"]["wall_seconds"] > 0
-
-    def test_tracemalloc_mode(self, capsys):
-        code = main(
-            ["run", "--algorithm", "PR", "--iterations", "1", "--scale",
-             "8", "--machines", "2", "--chunk-kb", "4",
-             "--host-profile=tracemalloc", "--json"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["host"]["tracemalloc"] is True
-        assert all("alloc_bytes" in p for p in payload["host"]["phases"])
-
-    def test_export_flags_require_host_profile(self, tmp_path):
-        with pytest.raises(SystemExit, match="require"):
-            main(
-                ["run", "--algorithm", "PR", "--scale", "8", "--machines",
-                 "2", "--host-json", str(tmp_path / "h.json")]
-            )
-
-    def test_driver_algorithms_rejected(self):
-        with pytest.raises(SystemExit, match="multi-run driver"):
-            main(
-                ["run", "--algorithm", "MCST", "--scale", "8",
-                 "--machines", "2", "--host-profile"]
-            )
-
-
 class TestCapacity:
     def test_small_projection(self, capsys):
         code = main(

@@ -1,5 +1,7 @@
 """Unit tests for cluster configuration and metrics containers."""
 
+import math
+
 import pytest
 
 from repro.core import ClusterConfig
@@ -52,6 +54,23 @@ class TestClusterConfig:
             ClusterConfig(steal_alpha=-1)
         with pytest.raises(ValueError):
             ClusterConfig(request_window_override=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("partitions_per_machine", 0),
+            ("partitions_per_machine", -1),
+            ("steal_alpha", math.nan),
+            ("cpu_seconds_per_edge", -1e-6),
+            ("cpu_seconds_per_update", math.nan),
+            ("cpu_seconds_per_vertex", math.inf),
+            ("directory_lookups_per_second", 0),
+        ],
+    )
+    def test_rejects_out_of_range_field(self, field, value):
+        config = dict(placement="centralized", **{field: value})
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(**config)
 
     def test_slow_network_raises_phi(self):
         config = ClusterConfig(network=GIGE_1)

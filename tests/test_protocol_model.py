@@ -869,7 +869,7 @@ class TestRuleRegistration:
 
 class TestAnalyzerVersionCache:
     def test_analyzer_version_bumped_for_protocol_rules(self):
-        assert ANALYZER_VERSION == 5  # 4: CHX019-023; 5: CHX013-015/017 removed
+        assert ANALYZER_VERSION == 6  # 5: CHX013-015/017 removed; 6: no hostclock exemption
 
     def test_version_bump_invalidates_pickled_deep_index(
         self, tmp_path, monkeypatch
