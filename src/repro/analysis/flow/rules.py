@@ -62,8 +62,10 @@ HOT_PACKAGES: FrozenSet[str] = SIM_PACKAGES | frozenset({"algorithms"})
 #:     escape analyses; CHX016 no longer treats ``merge`` as a
 #:     gather-family kernel.
 #: 6 — CHX008 labels wall-clock reads in every sim-package module, with
-#:     no per-module exemption — this revision.
-ANALYZER_VERSION = 6
+#:     no per-module exemption.
+#: 7 — CHX012 reads sanitizer access sites on the run's ``probe`` —
+#:     this revision.
+ANALYZER_VERSION = 7
 
 
 class DeepContext:
@@ -698,7 +700,7 @@ class RaceCandidate:
         }
 
 
-_SAN_RECEIVERS = frozenset({"_san", "san", "sanitizer", "_sanitizer"})
+_SAN_RECEIVERS = frozenset({"_san", "san", "sanitizer", "_sanitizer", "probe"})
 
 
 def collect_race_candidates(index: ProjectIndex) -> List[RaceCandidate]:

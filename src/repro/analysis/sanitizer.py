@@ -82,13 +82,10 @@ class _Record:
 class Sanitizer:
     """Vector clocks + access history + race reports.
 
-    The runtime calls :meth:`bind_run` per simulation; the network,
-    barrier and engines then feed it synchronization edges and shared-
-    state accesses.  ``enabled`` mirrors the tracer convention so hot
-    paths can guard cheaply.
+    The run's :class:`~repro.obs.probe.Probe` calls :meth:`bind_run`
+    per simulation; the network, barrier and engines then feed it
+    synchronization edges and shared-state accesses through the probe.
     """
-
-    enabled = True
 
     def __init__(self):
         self.machines = 0
@@ -238,7 +235,7 @@ class Sanitizer:
         self._seen_pairs.add(pair)
         race = Race(key=key, first=first, second=second)
         self.races.append(race)
-        if self._track is not None and getattr(self._track, "enabled", False):
+        if self._track is not None:
             start = min(first.time, second.time)
             duration = abs(second.time - first.time)
             self._track.complete(

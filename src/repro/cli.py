@@ -45,6 +45,8 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from typing import Optional
 
@@ -95,6 +97,17 @@ DEVICES = {"ssd": SSD_480GB, "hdd": HDD_RAID0}
 NETWORKS = {"40g": GIGE_40, "1g": GIGE_1}
 
 
+def _sample_interval(text: str) -> float:
+    """``--trace-sample-interval``: a finite value >= 0 (0 disables)."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0 (0 disables sampling), "
+            f"got {text!r}"
+        )
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -141,7 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="print the result as JSON instead of text")
     run.add_argument("--trace", metavar="PATH",
                      help="write a Chrome/Perfetto trace_event JSON file")
-    run.add_argument("--trace-sample-interval", type=float, default=0.001,
+    run.add_argument("--trace-sample-interval", type=_sample_interval,
+                     default=0.001,
                      metavar="SECONDS",
                      help="counter sampling period in simulated seconds "
                           "(0 disables time-series sampling)")
@@ -153,8 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "state (non-zero exit if races are found)")
     run.add_argument("--focus-from-check", action="store_true",
                      help="with --sanitize: run the static race-candidate "
-                          "pass (CHX012) over src first and instrument only "
-                          "the state kinds it flags")
+                          "pass (CHX012) over the installed repro package "
+                          "first and instrument only the state kinds it "
+                          "flags")
     run.add_argument("--inject-fault", action="append", metavar="SPEC",
                      dest="inject_fault",
                      help="inject a machine fault into the simulation; "
@@ -435,14 +450,23 @@ def _command_run(args) -> int:
 
         sanitizer = Sanitizer()
         if args.focus_from_check:
+            import repro
             from repro.analysis.flow import collect_focus_kinds
 
-            kinds = collect_focus_kinds(["src"])
+            # The package's own source, wherever it is installed: the
+            # focus must not depend on the working directory.
+            kinds = collect_focus_kinds([os.path.dirname(repro.__file__)])
+            if not kinds:
+                raise SystemExit(
+                    "--focus-from-check: the static pass found no "
+                    "sanitizer access sites; refusing a run that would "
+                    "check nothing"
+                )
             sanitizer.set_focus(kinds)
             if not args.json:
                 print(
                     f"sanitizer focus (from CHX012 candidates): "
-                    f"{', '.join(kinds) if kinds else '(none)'}"
+                    f"{', '.join(kinds)}"
                 )
     elif args.focus_from_check:
         raise SystemExit("--focus-from-check requires --sanitize")
@@ -466,8 +490,6 @@ def _command_run(args) -> int:
             raise SystemExit(
                 "--inject-fault and --sanitize are mutually exclusive"
             )
-        import os
-
         from repro.faults import FaultPlan, parse_fault_spec
 
         try:
@@ -1116,7 +1138,6 @@ def _command_check(args) -> int:
 
 def _command_fuzz(args) -> int:
     import json as json_module
-    import os
 
     from repro.faults.fuzz import (
         OUTCOME_DEADLOCK,
@@ -1223,8 +1244,6 @@ def main(argv: Optional[list] = None) -> int:
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like a
         # well-behaved Unix filter.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 

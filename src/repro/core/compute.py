@@ -52,7 +52,7 @@ from repro.core.stealing import estimate_cluster_remaining, should_accept_steal
 from repro.core.workload import UpdateBatch, Workload
 from repro.net.retry import RetryPolicy, jittered_delay, retry_rng_seed
 from repro.net.transport import Network
-from repro.obs.tracer import NULL_TRACK, TID_CPU, TID_ENGINE
+from repro.obs.probe import NULL_PROBE
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import CoreBank
 from repro.sim.sync import Barrier, WaitGroup
@@ -127,8 +127,7 @@ class ComputationEngine:
         barrier: Barrier,
         directory: Optional[CentralizedDirectory] = None,
         input_bytes_share: int = 0,
-        tracer=None,
-        sanitizer=None,
+        probe=NULL_PROBE,
         epoch: int = 0,
         preprocess: bool = True,
         registry=None,
@@ -156,30 +155,16 @@ class ComputationEngine:
         #: Failure detector view (``is_suspected(machine)``); when set,
         #: blocked reads and steal proposals time out against it.
         self._liveness = liveness
-        # Happens-before sanitizer (``repro run --sanitize``): records
-        # this engine's accesses to cross-machine shared state.
-        self._san = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
-        # Observability: every span this engine opens carries the
-        # Breakdown category it is accounted under, so a trace's
-        # category totals reconcile with Figure 17 to float precision.
-        if tracer is not None and tracer.enabled:
-            self.track = tracer.thread(machine, TID_ENGINE, "engine")
-        else:
-            self.track = NULL_TRACK
-        self._trace_on = self.track.enabled
+        #: The run's instrumentation: shared-state accesses (sanitizer),
+        #: message dispatch and barriers (causal DAG).
+        self.probe = probe
 
         self.layout = workload.layout
         self.cores = CoreBank(sim, config.cores, name=f"m{machine}.cores")
-        if self._trace_on:
-            # Chunk-processing CPU occupancy on its own track: the
-            # attribution analyzer unions these spans into the machine's
-            # CPU-busy timeline.
-            self.cores.enable_trace(
-                tracer.thread(machine, TID_CPU, "cpu"), label="exec"
-            )
         self.metrics = Breakdown()
+        #: Engine spans; one opened with a Figure 17 category charges it
+        #: to ``metrics`` when it ends.
+        self.spans = probe.engine_spans(machine, sim, self.metrics, self.cores)
         self.window = config.effective_request_window()
         # Stable arithmetic seeds: Python string hashing is salted per
         # process, which would break cross-process reproducibility.
@@ -212,10 +197,6 @@ class ComputationEngine:
         self.stale_messages = 0
         self.steal_timeouts = 0
         self.reads_abandoned = 0
-        # Causal DAG recorder shared with the transport (null when
-        # tracing is off): dispatching a message moves this machine's
-        # chain head so replies/sends inherit the right parent.
-        self._causal = network.causal
         # Integrity hardening: verify every chunk-carrying reply; on a
         # corrupt frame, re-request with deterministic seeded backoff.
         self._integrity = config.integrity_checks
@@ -277,8 +258,7 @@ class ComputationEngine:
                 # reply, or a steal request from a zombie peer).
                 self.stale_messages += 1
                 continue
-            if message.ctx is not None:
-                self._causal.on_dispatch(self.machine, message.ctx)
+            self.probe.on_dispatch(self.machine, message)
             kind = message.kind
             if kind in ("read_reply", "vread_reply", "write_ack", "directory_reply"):
                 request_id = message.payload[0]
@@ -341,11 +321,10 @@ class ComputationEngine:
         """Account one completed backoff wait (trace + counter)."""
         elapsed = self.sim.now - start
         self.retry_wait_seconds += elapsed
-        if self._trace_on and elapsed > 0:
-            self.track.complete(
-                label, start, elapsed, cat="retry_wait",
-                args={"machine": self.machine},
-            )
+        self.spans.complete(
+            label, start, elapsed, cat="retry_wait",
+            args={"machine": self.machine},
+        )
 
     def _send_write(
         self,
@@ -416,15 +395,14 @@ class ComputationEngine:
 
     def _handle_steal_request(self, message) -> None:
         request_id, proposer, partition, kind = message.payload
-        if self._san is not None:
-            # The per-partition steal queue is master-local state; every
-            # mutation must happen on the master's dispatch process.
-            self._san.access(
-                ("steal", partition),
-                self.machine,
-                write=True,
-                label="steal.decide",
-            )
+        # The per-partition steal queue is master-local state; every
+        # mutation must happen on the master's dispatch process.
+        self.probe.access(
+            ("steal", partition),
+            self.machine,
+            write=True,
+            label="steal.decide",
+        )
         state = self._master_state.get(partition)
         if state is None or state.kind is not kind or state.closed:
             accept = False
@@ -446,11 +424,10 @@ class ComputationEngine:
             if state.kind is ChunkKind.UPDATES and state.accum_group is not None:
                 state.accum_group.add(1)
         self.job.note_steal_decision(accept)
-        if self._trace_on:
-            self.track.instant(
-                "steal.accept" if accept else "steal.reject",
-                args={"partition": partition, "proposer": proposer},
-            )
+        self.spans.instant(
+            "steal.accept" if accept else "steal.reject",
+            args={"partition": partition, "proposer": proposer},
+        )
         self.network.send(
             src=self.machine,
             dst=proposer,
@@ -464,13 +441,12 @@ class ComputationEngine:
 
     def _handle_accum(self, message) -> None:
         partition, accum = message.payload
-        if self._san is not None:
-            self._san.access(
-                ("steal", partition),
-                self.machine,
-                write=True,
-                label="accum.recv",
-            )
+        self.probe.access(
+            ("steal", partition),
+            self.machine,
+            write=True,
+            label="accum.recv",
+        )
         state = self._master_state.get(partition)
         if state is None or state.accum_group is None:
             raise RuntimeError(
@@ -640,14 +616,13 @@ class ComputationEngine:
             # this engine was killed by the fault supervisor.
             return
         if state.kind is ChunkKind.EDGES:
-            if self._san is not None:
-                # Scatter reads the partition's vertex values.
-                self._san.access(
-                    ("vertex", state.partition),
-                    self.machine,
-                    write=False,
-                    label="scatter.read",
-                )
+            # Scatter reads the partition's vertex values.
+            self.probe.access(
+                ("vertex", state.partition),
+                self.machine,
+                write=False,
+                label="scatter.read",
+            )
             batches = self.workload.scatter_chunk(
                 state.partition, chunk, iteration
             )
@@ -655,33 +630,29 @@ class ComputationEngine:
                 self._buffer_updates(batch)
             self.job.note_scatter(chunk.records, batches)
         else:
-            if self._san is not None:
-                # Gather reads the vertex values and writes this
-                # worker's private accumulator.
-                self._san.access(
-                    ("vertex", state.partition),
-                    self.machine,
-                    write=False,
-                    label="gather.read",
-                )
-                if state.accum is not None:
-                    # Keyed by owning machine, not id(): host pointer
-                    # values are ASLR-dependent and would make race
-                    # reports nondeterministic across runs.
-                    self._san.access(
-                        ("accum", state.partition, self.machine),
-                        self.machine,
-                        write=True,
-                        label="gather.accum",
-                    )
-            self.workload.gather_chunk(state.partition, state.accum, chunk)
-        if self._trace_on:
-            self.track.instant(
-                "chunk.scatter"
-                if state.kind is ChunkKind.EDGES
-                else "chunk.gather",
-                args={"partition": state.partition, "records": chunk.records},
+            # Gather reads the vertex values and writes this worker's
+            # private accumulator.
+            self.probe.access(
+                ("vertex", state.partition),
+                self.machine,
+                write=False,
+                label="gather.read",
             )
+            if state.accum is not None:
+                # Keyed by owning machine, not id(): host pointer values
+                # are ASLR-dependent and would make race reports
+                # nondeterministic across runs.
+                self.probe.access(
+                    ("accum", state.partition, self.machine),
+                    self.machine,
+                    write=True,
+                    label="gather.accum",
+                )
+            self.workload.gather_chunk(state.partition, state.accum, chunk)
+        self.spans.instant(
+            "chunk.scatter" if state.kind is ChunkKind.EDGES else "chunk.gather",
+            args={"partition": state.partition, "records": chunk.records},
+        )
         state.processing.done_one()
         self._maybe_finish_stream(state)
 
@@ -901,22 +872,19 @@ class ComputationEngine:
 
     def _work_on_partition(self, partition: int, kind: ChunkKind, master: bool):
         iteration = self.job.iteration
-        track = self.track
-        if self._trace_on:
-            track.begin(
-                f"partition{partition}",
-                args={
-                    "kind": kind.value,
-                    "role": "master" if master else "stealer",
-                    "iteration": iteration,
-                },
-            )
+        spans = self.spans
+        spans.begin(
+            f"partition{partition}",
+            args={
+                "kind": kind.value,
+                "role": "master" if master else "stealer",
+                "iteration": iteration,
+            },
+        )
         # 1. Load the vertex set (the steal cost V of Eq. 1).
-        t0 = self.sim.now
-        track.begin("vertex_load", cat="copy")
+        spans.begin("vertex_load", cat="copy")
         yield self._load_vertex_set(partition)
-        self.metrics.add("copy", self.sim.now - t0)
-        track.end()
+        spans.end()
 
         if master:
             state = self._master_state[partition]
@@ -925,8 +893,8 @@ class ComputationEngine:
         accum = None
         if kind is ChunkKind.UPDATES:
             accum = self.workload.begin_gather(partition)
-            if self._san is not None and accum is not None:
-                self._san.access(
+            if accum is not None:
+                self.probe.access(
                     ("accum", partition, self.machine),
                     self.machine,
                     write=True,
@@ -934,16 +902,11 @@ class ComputationEngine:
                 )
 
         # 2. Stream edge/update chunks through the request window.
-        t1 = self.sim.now
-        category = "gp_master" if master else "gp_stolen"
-        track.begin("stream", cat=category)
+        spans.begin("stream", cat="gp_master" if master else "gp_stolen")
         stream = self._start_streaming(partition, kind, accum, iteration)
         yield stream.done
-        self.metrics.add(category, self.sim.now - t1)
-        track.end(
+        spans.end(
             args={"chunks": stream.chunks_received, "records": stream.records}
-            if self._trace_on
-            else None
         )
 
         # 3. Phase-specific completion.
@@ -955,25 +918,20 @@ class ComputationEngine:
         else:
             if master:
                 self._master_state[partition].closed = True
-        if self._trace_on:
-            track.end()
+        spans.end()
 
     def _finish_gather_master(self, partition: int, accum, iteration: int):
         state = self._master_state[partition]
         state.closed = True
-        track = self.track
+        spans = self.spans
         # Wait for every accepted stealer's accumulator (Figure 4 line 42).
-        t0 = self.sim.now
-        track.begin("merge_wait", cat="merge_wait")
+        spans.begin("merge_wait", cat="merge_wait")
         yield state.accum_group.wait()
-        self.metrics.add("merge_wait", self.sim.now - t0)
-        self.job.note_steal_wait(self.job.current_stats, self.sim.now - t0)
-        track.end()
+        self.job.note_steal_wait(self.job.current_stats, spans.end())
 
         vertices = self.layout.vertex_count(partition)
         # Merge stealer accumulators, then Apply (folded into gather).
-        t1 = self.sim.now
-        track.begin("merge_apply", cat="merge")
+        spans.begin("merge_apply", cat="merge")
         merge_cpu = (
             len(state.accums) * vertices * self.config.cpu_seconds_per_vertex
         )
@@ -981,38 +939,33 @@ class ComputationEngine:
         if merge_cpu + apply_cpu > 0:
             yield self.cores.execute(merge_cpu + apply_cpu)
         for owner, other in state.accums:
-            if self._san is not None and other is not None:
-                # Reading a stealer's accumulator: ordered by the
-                # accum message handoff (or it is a race).  The key
-                # names the stealer that owns the accumulator,
-                # matching its accum.init/gather.accum writes.
-                self._san.access(
-                    ("accum", partition, owner),
-                    self.machine,
-                    write=False,
-                    label="merge.read",
-                )
-            self.workload.merge_accumulators(partition, accum, other)
-        if self._san is not None:
-            self._san.access(
-                ("vertex", partition),
+            # Reading a stealer's accumulator: ordered by the accum
+            # message handoff (or it is a race).  The key names the
+            # stealer that owns the accumulator, matching its
+            # accum.init/gather.accum writes.
+            self.probe.access(
+                ("accum", partition, owner),
                 self.machine,
-                write=True,
-                label="apply.write",
+                write=False,
+                label="merge.read",
             )
+            self.workload.merge_accumulators(partition, accum, other)
+        self.probe.access(
+            ("vertex", partition),
+            self.machine,
+            write=True,
+            label="apply.write",
+        )
         changed = self.workload.apply_partition(
             partition, accum, iteration
         )
         self.job.note_apply(changed)
-        self.metrics.add("merge", self.sim.now - t1)
-        track.end()
+        spans.end()
 
         # Write the vertex set back (only the master writes: Section 6.1).
-        t2 = self.sim.now
-        track.begin("vertex_store", cat="copy")
+        spans.begin("vertex_store", cat="copy")
         yield self._store_vertex_set(partition)
-        self.metrics.add("copy", self.sim.now - t2)
-        track.end()
+        spans.end()
 
         # Delete the partition's update set everywhere (Figure 4 line 45).
         for target in range(self.config.machines):
@@ -1030,8 +983,7 @@ class ComputationEngine:
         """Stealer side of gather completion: send the accumulator home."""
         master = partition % self.config.machines
         size = self.workload.accum_bytes(partition)
-        t0 = self.sim.now
-        self.track.begin("ship_accum", cat="copy")
+        self.spans.begin("ship_accum", cat="copy")
         delivered = self.network.send(
             src=self.machine,
             dst=master,
@@ -1042,8 +994,7 @@ class ComputationEngine:
             epoch=self.epoch,
         )
         yield delivered
-        self.metrics.add("copy", self.sim.now - t0)
-        self.track.end()
+        self.spans.end()
 
     # ------------------------------------------------------------------
     # Steal pass (one pass per phase; see module docstring)
@@ -1061,11 +1012,10 @@ class ComputationEngine:
             request_id = self._new_request_id()
             reply = Event(self.sim, name=f"steal.p{partition}")
             self._pending[request_id] = reply.trigger
-            if self._trace_on:
-                self.track.instant(
-                    "steal.propose",
-                    args={"partition": partition, "master": master},
-                )
+            self.spans.instant(
+                "steal.propose",
+                args={"partition": partition, "master": master},
+            )
             self.network.send(
                 src=self.machine,
                 dst=master,
@@ -1142,17 +1092,15 @@ class ComputationEngine:
             # The wrapper span lets the attribution analyzer charge
             # proposal round-trip waits to steal overhead; work on an
             # accepted partition opens its own (inner) spans.
-            self.track.begin("steal_pass")
+            self.spans.begin("steal_pass")
             yield from self._steal_pass(kind)
-            self.track.end()
+            self.spans.end()
         if kind is ChunkKind.EDGES:
             self._flush_all_buffers()
         # All in-flight chunk writes must land before the barrier.
-        t0 = self.sim.now
-        self.track.begin("flush_wait", cat="gp_master")
+        self.spans.begin("flush_wait", cat="gp_master")
         yield self._write_group.wait()
-        self.metrics.add("gp_master", self.sim.now - t0)
-        self.track.end()
+        self.spans.end()
         if self.config.checkpointing:
             yield from self._checkpoint(kind)
 
@@ -1172,8 +1120,7 @@ class ComputationEngine:
         the next).  Durability is reported per partition once *all*
         replica writes are acked.
         """
-        t0 = self.sim.now
-        self.track.begin("checkpoint", cat="copy")
+        self.spans.begin("checkpoint", cat="copy")
         registry = self._registry
         events = []
         if registry is None:
@@ -1211,35 +1158,27 @@ class ComputationEngine:
                     lambda _e, p=partition: registry.note_durable(
                         key, p, self.sim.now,
                         machine=self.machine,
-                        parent=self._causal.head(self.machine),
+                        parent=self.probe.causal_head(self.machine),
                     )
                 )
                 events.append(event)
         for event in events:
             yield event
         self.checkpoints_written += len(events)
-        self.metrics.add("copy", self.sim.now - t0)
-        self.track.end()
+        self.spans.end()
 
-    def _enter_barrier(self, stats=None, label=None, phase=None):
-        t0 = self.sim.now
-        self.track.begin("barrier", cat="barrier")
-        causal = label is not None and self._causal.enabled
-        if causal:
-            self._causal.barrier_arrive(
-                self.machine, self.epoch, label, phase
-            )
+    def _enter_barrier(
+        self, label: str, phase: str, span: str = "barrier",
+        cat: Optional[str] = "barrier",
+    ):
+        """Wait at the cluster barrier; returns the seconds waited."""
+        self.spans.begin(span, cat=cat)
+        self.probe.barrier_arrive(self.machine, self.epoch, label, phase)
         yield self.barrier.wait(party=self.machine)
-        if causal:
-            # The first resumer materializes the release event (parented
-            # to every arrival); each resumer's chain head becomes it.
-            self._causal.barrier_release(
-                self.machine, self.epoch, label, phase
-            )
-        self.metrics.add("barrier", self.sim.now - t0)
-        if stats is not None:
-            self.job.note_barrier_wait(stats, self.sim.now - t0)
-        self.track.end()
+        # The first resumer materializes the release event (parented to
+        # every arrival); each resumer's chain head becomes it.
+        self.probe.barrier_release(self.machine, self.epoch, label, phase)
+        return self.spans.end()
 
     def _preprocess(self):
         """Simulate this machine's share of the one-pass pre-processing.
@@ -1277,24 +1216,17 @@ class ComputationEngine:
 
     def main(self):
         """The engine's top-level process (Figure 4 main loop)."""
-        track = self.track
+        spans = self.spans
         # preprocess is epoch-uniform: build_epoch sets it identically on
         # every engine, so all machines take the same branch together.
         if self.preprocess:  # chaos: ignore[CHX010,CHX022]
-            track.begin("preprocess")
+            spans.begin("preprocess")
             yield from self._preprocess()
-            track.end()
-            track.begin("preprocess.barrier")
-            if self._causal.enabled:
-                self._causal.barrier_arrive(
-                    self.machine, self.epoch, "preprocess", "preprocess"
-                )
-            yield self.barrier.wait(party=self.machine)
-            if self._causal.enabled:
-                self._causal.barrier_release(
-                    self.machine, self.epoch, "preprocess", "preprocess"
-                )
-            track.end()
+            spans.end()
+            yield from self._enter_barrier(
+                "preprocess", "preprocess", span="preprocess.barrier",
+                cat=None,
+            )
             self.job.note_preprocessing_done(self.sim.now)
 
         while True:
@@ -1304,34 +1236,32 @@ class ComputationEngine:
             # reporters must not charge the next iteration.
             stats = self.job.current_stats
             phase_start = self.sim.now
-            if self._trace_on:
-                track.begin("scatter", args={"iteration": self.job.iteration})
+            spans.begin("scatter", args={"iteration": self.job.iteration})
             self.job.begin_scatter()
             yield from self._run_phase(ChunkKind.EDGES)
-            yield from self._enter_barrier(
-                stats, label=str(self.job.iteration), phase="scatter"
+            waited = yield from self._enter_barrier(
+                str(self.job.iteration), "scatter"
             )
+            self.job.note_barrier_wait(stats, waited)
             stop = self.job.decide_after_scatter(self.barrier.generation)
             self.job.note_phase_seconds(
                 stats, "scatter", self.sim.now - phase_start
             )
-            if self._trace_on:
-                track.end()
+            spans.end()
             if stop:
                 break
             # -- gather phase (apply folded in) ---------------------------
             phase_start = self.sim.now
-            if self._trace_on:
-                track.begin("gather", args={"iteration": self.job.iteration})
+            spans.begin("gather", args={"iteration": self.job.iteration})
             yield from self._run_phase(ChunkKind.UPDATES)
-            yield from self._enter_barrier(
-                stats, label=str(self.job.iteration), phase="gather"
+            waited = yield from self._enter_barrier(
+                str(self.job.iteration), "gather"
             )
+            self.job.note_barrier_wait(stats, waited)
             stop = self.job.decide_after_gather(self.barrier.generation)
             self.job.note_phase_seconds(
                 stats, "gather", self.sim.now - phase_start
             )
-            if self._trace_on:
-                track.end()
+            spans.end()
             if stop:
                 break

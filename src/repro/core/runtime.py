@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -32,7 +31,7 @@ from repro.graph.edgelist import EdgeList, bytes_per_edge
 from repro.graph.stats import out_degrees as compute_out_degrees
 from repro.net.transport import Network
 from repro.obs.counters import ResourceSampler
-from repro.obs.tracer import NULL_TRACER, NULL_TRACK, TID_JOB
+from repro.obs.probe import open_probe
 from repro.partition.streaming import (
     PartitionLayout,
     choose_partition_count,
@@ -66,26 +65,6 @@ def _integrity_counters(network, stores) -> Dict[str, int]:
         "stale_reads_served": sum(s.stale_reads_served for s in stores),
         "retransmits": sum(s.retransmits for s in stores),
     }
-
-
-def _check_open_spans(tracer) -> None:
-    """Warn if a clean run ends with spans still open (leaked begin()).
-
-    A leaked span skews every downstream analysis (critpath sees an
-    interval that never closes; durations go negative at export), so a
-    clean finish with ``open_span_count() != 0`` is an instrumentation
-    bug worth surfacing loudly — but not worth failing the job over.
-    """
-    if not tracer.enabled:
-        return
-    leaked = tracer.open_span_count()
-    if leaked:
-        warnings.warn(
-            f"run finished with {leaked} trace span(s) still open; "
-            f"the trace's durations are unreliable (leaked begin()?)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 @dataclass
@@ -180,13 +159,12 @@ class ChaosCluster:
         #: Observability: a :class:`repro.obs.Tracer` records spans,
         #: instants and counter timelines of every run on this cluster;
         #: ``None`` (the default) costs nothing.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         #: Happens-before sanitizer (:mod:`repro.analysis.sanitizer`):
         #: vector-clock race detection over cross-machine shared state;
-        #: ``None`` (the default) costs nothing.
-        self.sanitizer = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
+        #: ``None`` (the default) costs nothing.  Each run binds the two
+        #: into one :class:`repro.obs.probe.Probe`.
+        self.sanitizer = sanitizer
         #: Introspection handles from the most recent run (protocol
         #: audits and tests): the storage engines and the network.
         self.last_stores: Optional[List[StorageEngine]] = None
@@ -383,16 +361,16 @@ class ChaosCluster:
                 )
                 stores[placement.machine_for(p, index)].preload_chunk(chunk)
 
-    def _make_sampler(
-        self, sim, tracer, stores, network: Network, engines
-    ) -> ResourceSampler:
-        """Periodic per-device / per-NIC / per-core-bank telemetry probes.
+    @staticmethod
+    def _add_meters(sampler: ResourceSampler, stores, network: Network, engines):
+        """Periodic per-device / per-NIC / per-core-bank telemetry.
 
         The sampled series reproduce Figure 5-style utilization
         timelines from a live run: device busy fraction and queue depth,
-        NIC busy fraction, cumulative bytes, and busy cores.
+        NIC busy fraction, cumulative bytes, and busy cores.  ``engines``
+        is read at sample time, so a fault-injected run can swap in each
+        epoch's engines in place.
         """
-        sampler = ResourceSampler(sim, tracer, tracer.sample_interval)
         for m, store in enumerate(stores):
             sampler.add_probe(
                 f"m{m}.device.busy",
@@ -428,11 +406,15 @@ class ChaosCluster:
             sampler.add_probe(
                 f"m{m}.nic.rx.bytes", m, nic.bytes_received, mode="value"
             )
-        for m, engine in enumerate(engines):
+        for m in range(len(stores)):
             sampler.add_probe(
-                f"m{m}.cores.busy", m, engine.cores.busy_cores, mode="value"
+                f"m{m}.cores.busy",
+                m,
+                lambda m=m: (
+                    engines[m].cores.busy_cores() if m < len(engines) else 0
+                ),
+                mode="value",
             )
-        return sampler
 
     @staticmethod
     def _arm_deadline(sim: Simulator, deadline_seconds: Optional[float]) -> None:
@@ -472,40 +454,11 @@ class ChaosCluster:
         self.last_registry = None
         config = self.config
         sim = Simulator()
-        tracer = self.tracer
-        job_track = None
-        if tracer.enabled:
-            tracer.bind_run(lambda: sim.now)
-            for m in range(config.machines):
-                tracer.set_process(m, f"machine{m}")
-            tracer.set_process(config.machines, "cluster")
-            job_track = tracer.thread(config.machines, TID_JOB, "job")
-            sim.process_hook = lambda process, phase: job_track.instant(
-                f"process.{phase}", args={"name": process.name}
-            )
-            # Self-describing trace: the attribution analyzer
-            # (repro.obs.critpath) reads the cluster shape from this
-            # marker so saved traces can be analyzed without the config.
-            job_track.instant(
-                "job.config",
-                args={
-                    "machines": config.machines,
-                    "cores": config.cores,
-                    "chunk_bytes": config.chunk_bytes,
-                    "batch_factor": config.batch_factor,
-                    "steal_alpha": config.steal_alpha,
-                    "request_window": config.effective_request_window(),
-                    "algorithm": workload.algorithm.name,
-                },
-            )
-        sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.bind_run(
-                config.machines, now=lambda: sim.now, track=job_track
-            )
+        probe = open_probe(
+            self.tracer, self.sanitizer, sim, config, workload.algorithm.name
+        )
         network = Network(
-            sim, config.machines, config.network, tracer=tracer,
-            sanitizer=sanitizer,
+            sim, config.machines, config.network, probe=probe,
             integrity=config.integrity_checks,
         )
         stores = [
@@ -515,10 +468,8 @@ class ChaosCluster:
                 m,
                 config.device,
                 self.backend_factory(m),
-                tracer=tracer,
-                sanitizer=sanitizer,
+                probe=probe,
                 integrity=config.integrity_checks,
-                job_track=job_track if job_track is not None else NULL_TRACK,
             )
             for m in range(config.machines)
         ]
@@ -540,8 +491,7 @@ class ChaosCluster:
 
         job = JobCoordinator(workload, stores, start_iteration=start_iteration)
         barrier = Barrier(
-            sim, parties=config.machines, name="phase-barrier",
-            sanitizer=sanitizer,
+            sim, parties=config.machines, name="phase-barrier", probe=probe
         )
         per_machine_input = -(-input_bytes // config.machines)
         engines = [
@@ -556,29 +506,20 @@ class ChaosCluster:
                 barrier=barrier,
                 directory=directory,
                 input_bytes_share=per_machine_input,
-                tracer=tracer,
-                sanitizer=sanitizer,
+                probe=probe,
             )
             for m in range(config.machines)
         ]
-        sampler = None
-        if tracer.enabled and tracer.sample_interval is not None:
-            sampler = self._make_sampler(sim, tracer, stores, network, engines)
-            sampler.start()
+        probe.start_sampling(
+            lambda sampler: self._add_meters(sampler, stores, network, engines)
+        )
         processes = [
             sim.process(engine.main(), name=f"engine{m}")
             for m, engine in enumerate(engines)
         ]
         sim.run_until(sim.all_of([p.finished for p in processes]))
-        if sampler is not None:
-            sampler.sample()  # close the timelines at the finish line
         integrity = _integrity_counters(network, stores)
-        if job_track is not None:
-            job_track.instant("job.integrity", args=dict(integrity))
-            job_track.instant(
-                "job.done", args={"algorithm": workload.algorithm.name}
-            )
-        _check_open_spans(tracer)
+        probe.end_run(integrity)
         self.last_stores = stores
         self.last_network = network
 
@@ -647,44 +588,20 @@ class ChaosCluster:
         fault_plan.validate(config)
 
         sim = Simulator()
-        tracer = self.tracer
-        job_track = None
-        if tracer.enabled:
-            tracer.bind_run(lambda: sim.now)
-            for m in range(config.machines):
-                tracer.set_process(m, f"machine{m}")
-            tracer.set_process(config.machines, "cluster")
-            job_track = tracer.thread(config.machines, TID_JOB, "job")
-            sim.process_hook = lambda process, phase: job_track.instant(
-                f"process.{phase}", args={"name": process.name}
-            )
-            # Self-describing trace: the attribution analyzer
-            # (repro.obs.critpath) reads the cluster shape from this
-            # marker so saved traces can be analyzed without the config.
-            job_track.instant(
-                "job.config",
-                args={
-                    "machines": config.machines,
-                    "cores": config.cores,
-                    "chunk_bytes": config.chunk_bytes,
-                    "batch_factor": config.batch_factor,
-                    "steal_alpha": config.steal_alpha,
-                    "request_window": config.effective_request_window(),
-                    "algorithm": workload.algorithm.name,
-                },
-            )
+        probe = open_probe(
+            self.tracer, self.sanitizer, sim, config, workload.algorithm.name
+        )
         # One extra endpoint: the failure-detector monitor.
         network = Network(
-            sim, config.machines, config.network, tracer=tracer,
+            sim, config.machines, config.network, probe=probe,
             extra_endpoints=1,
             integrity=config.integrity_checks,
         )
         stores = [
             StorageEngine(
                 sim, network, m, config.device, self.backend_factory(m),
-                tracer=tracer,
+                probe=probe,
                 integrity=config.integrity_checks,
-                job_track=job_track if job_track is not None else NULL_TRACK,
             )
             for m in range(config.machines)
         ]
@@ -693,9 +610,7 @@ class ChaosCluster:
         edge_chunk_loader(placement_rng, stores)
         self._place_vertex_chunks(workload, layout, stores)
 
-        registry = CheckpointRegistry(
-            layout.num_partitions, causal=tracer.causal
-        )
+        registry = CheckpointRegistry(layout.num_partitions, probe=probe)
         # Bound immediately (not just on success) so a diagnosed run's
         # quarantine counters stay inspectable after the exception.
         self.last_registry = registry
@@ -716,7 +631,8 @@ class ChaosCluster:
                 workload, stores, start_iteration=resume_iteration
             )
             barrier = Barrier(
-                sim, parties=config.machines, name=f"phase-barrier.e{epoch}"
+                sim, parties=config.machines, name=f"phase-barrier.e{epoch}",
+                probe=probe,
             )
             engines = [
                 ComputationEngine(
@@ -729,7 +645,7 @@ class ChaosCluster:
                     local_store=stores[m],
                     barrier=barrier,
                     input_bytes_share=per_machine_input,
-                    tracer=tracer,
+                    probe=probe,
                     epoch=epoch,
                     preprocess=preprocess,
                     registry=registry,
@@ -753,40 +669,22 @@ class ChaosCluster:
             registry,
             detector,
             build_epoch,
-            job_track=job_track if job_track is not None else NULL_TRACK,
+            probe=probe,
         )
         injector = FaultInjector(sim, supervisor, fault_plan, config)
         injector.start()
 
-        sampler = None
-        if tracer.enabled and tracer.sample_interval is not None:
-            sampler = self._make_sampler(sim, tracer, stores, network, [])
-            for m in range(config.machines):
-                sampler.add_probe(
-                    f"m{m}.cores.busy",
-                    m,
-                    lambda m=m: (
-                        live_engines[m].cores.busy_cores()
-                        if m < len(live_engines)
-                        else 0
-                    ),
-                    mode="value",
-                )
-            sampler.start()
+        probe.start_sampling(
+            lambda sampler: self._add_meters(
+                sampler, stores, network, live_engines
+            )
+        )
 
         supervisor.execute(start_iteration)
-        if sampler is not None:
-            sampler.sample()
         integrity = _integrity_counters(network, stores)
-        if job_track is not None:
-            job_track.instant("job.integrity", args=dict(integrity))
-            job_track.instant(
-                "job.done", args={"algorithm": workload.algorithm.name}
-            )
-        if not supervisor.timeline.faults:
-            # Kills legitimately strand the victims' open spans; only a
-            # fault-free timeline is held to the no-leak invariant.
-            _check_open_spans(tracer)
+        # Kills legitimately strand the victims' open spans; only a
+        # fault-free timeline is held to the no-leak invariant.
+        probe.end_run(integrity, check_spans=not supervisor.timeline.faults)
         self.last_stores = stores
         self.last_network = network
         self.last_fault_timeline = supervisor.timeline

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
+from repro.obs.probe import NULL_PROBE
+
 #: Vertex-chunk index bases of the two checkpoint slots (double buffer).
 SLOT_BASES = (1_000_000, 2_000_000)
 
@@ -40,16 +42,15 @@ class CheckpointGeneration:
 class CheckpointRegistry:
     """Tracks checkpoint rounds and the latest durable generation."""
 
-    def __init__(self, num_partitions: int, causal=None):
+    def __init__(self, num_partitions: int, probe=NULL_PROBE):
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         self.num_partitions = num_partitions
-        #: Causal DAG recorder (``tracer.causal``) or None: checkpoint
-        #: replication chains — each partition's durability, parented to
-        #: the replica-write acks, joined by a round-completion mark —
-        #: become part of the run's causal trace.  Pure annotation; the
-        #: protocol never reads it.
-        self._causal = causal if causal is not None and causal.enabled else None
+        #: The run's instrumentation: checkpoint replication chains —
+        #: each partition's durability, parented to the replica-write
+        #: acks, joined by a round-completion mark — become part of the
+        #: causal trace.  Pure annotation; the protocol never reads it.
+        self.probe = probe
         self._durable: Optional[CheckpointGeneration] = None
         # key -> [slot, resume_iteration, partitions_done]
         self._rounds: Dict[Tuple[int, int, int], list] = {}
@@ -101,15 +102,14 @@ class CheckpointRegistry:
         if entry is None:
             raise KeyError(f"checkpoint round {key} was never opened")
         entry[2] += 1
-        if self._causal is not None:
-            mark = self._causal.mark(
-                "ckpt_durable",
-                machine=machine,
-                parent=parent,
-                args={"ckpt": list(key), "partition": partition},
-            )
-            if mark is not None:
-                self._round_marks.setdefault(key, []).append(mark["id"])
+        mark = self.probe.mark(
+            "ckpt_durable",
+            machine=machine,
+            parent=parent,
+            args={"ckpt": list(key), "partition": partition},
+        )
+        if mark is not None:
+            self._round_marks.setdefault(key, []).append(mark["id"])
         if entry[2] == self.num_partitions:
             self._durable = CheckpointGeneration(
                 key=key,
@@ -118,12 +118,11 @@ class CheckpointRegistry:
                 durable_at=now,
             )
             self.rounds_completed += 1
-            if self._causal is not None:
-                self._causal.mark(
-                    "ckpt_round",
-                    parents=self._round_marks.pop(key, []),
-                    args={"ckpt": list(key), "slot": entry[0]},
-                )
+            self.probe.mark(
+                "ckpt_round",
+                parents=self._round_marks.pop(key, []),
+                args={"ckpt": list(key), "slot": entry[0]},
+            )
 
     def latest_durable(self) -> Optional[CheckpointGeneration]:
         return self._durable

@@ -45,7 +45,7 @@ from repro.faults.diagnosis import JobDiagnosis, UnrecoverableJobError
 from repro.faults.plan import FaultSpec
 from repro.faults.registry import SLOT_BASES
 from repro.net.retry import RetryPolicy, jittered_delay
-from repro.obs.tracer import NULL_TRACK
+from repro.obs.probe import NULL_PROBE
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.store import engine as store_engine
 from repro.store.chunk import ChunkKind
@@ -151,7 +151,7 @@ class ClusterSupervisor:
         registry,
         detector,
         build_epoch,
-        job_track=NULL_TRACK,
+        probe=NULL_PROBE,
     ):
         self.sim = sim
         self.config = config
@@ -161,7 +161,7 @@ class ClusterSupervisor:
         self.registry = registry
         self.detector = detector
         self.build_epoch = build_epoch
-        self.job_track = job_track
+        self.probe = probe
         detector.on_suspect = self._on_suspect
 
         machines = config.machines
@@ -253,7 +253,7 @@ class ClusterSupervisor:
     # ------------------------------------------------------------------
 
     def _on_suspect(self, machine: int) -> None:
-        self.job_track.instant(
+        self.probe.job_instant(
             "fault.suspect", cat="lost", args={"machine": machine}
         )
         if self.failure is not None and not self.failure.triggered:
@@ -292,7 +292,7 @@ class ClusterSupervisor:
 
     def note_fault(self, spec: FaultSpec, now: float) -> None:
         self.timeline.faults.append(FaultRecord(spec=spec, fired_at=now))
-        self.job_track.instant(
+        self.probe.job_instant(
             "fault.inject", cat="lost", args={"spec": spec.describe()}
         )
 
@@ -316,7 +316,7 @@ class ClusterSupervisor:
         self._operator_reboot[machine] = False
         self._update_reachability(machine)
         self.stores[machine].restart()
-        self.job_track.instant("fault.reboot", args={"machine": machine})
+        self.probe.job_instant("fault.reboot", args={"machine": machine})
         self._check_admission()
 
     def partition_machine(self, machine: int) -> None:
@@ -335,7 +335,7 @@ class ClusterSupervisor:
             # The machine self-fenced during the outage (recovery struck
             # while it was partitioned away); bring its storage back.
             self.stores[machine].restart()
-        self.job_track.instant("fault.heal", args={"machine": machine})
+        self.probe.job_instant("fault.heal", args={"machine": machine})
         self._check_admission()
 
     def degrade_device(self, machine: int, factor: float) -> None:
@@ -495,14 +495,14 @@ class ClusterSupervisor:
         lost_start = max(durable_at, self._epoch_started_at)
         lost = max(0.0, fence_time - lost_start)
         restore = resume_time - fence_time
-        self.job_track.complete(
+        self.probe.job_span(
             "lost",
             lost_start,
             lost,
             cat="lost",
             args={"epoch": failed_epoch, "suspects": list(suspects)},
         )
-        self.job_track.complete(
+        self.probe.job_span(
             "restore",
             fence_time,
             restore,
@@ -694,7 +694,7 @@ class _RestoreClient:
                         request_id,
                     )
                 )
-                sup.job_track.complete(
+                sup.probe.job_span(
                     "restore.retry_wait",
                     wait_start,
                     self.sim.now - wait_start,
@@ -741,7 +741,7 @@ class _RestoreClient:
                 # the source and try another; re-replication rewrites it
                 # from a verified copy once one is found.
                 if registry.quarantine_replica(target, partition, store_index):
-                    sup.job_track.instant(
+                    sup.probe.job_instant(
                         "integrity.ckpt_quarantine",
                         cat="integrity",
                         args={
@@ -760,7 +760,7 @@ class _RestoreClient:
             ):
                 # Validly-sealed but *old* data (the stale-read fault):
                 # the checksum passes, the freshness key does not.
-                sup.job_track.instant(
+                sup.probe.job_instant(
                     "integrity.stale_restore",
                     cat="integrity",
                     args={"machine": target, "partition": partition},
@@ -804,7 +804,7 @@ class _RestoreClient:
                 self._pending.pop(request_id, None)
                 continue
             registry.clear_quarantine(target, partition, store_index)
-            sup.job_track.complete(
+            sup.probe.job_span(
                 "integrity.rereplicate",
                 start,
                 self.sim.now - start,

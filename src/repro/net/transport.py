@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from repro.net.topology import NetworkConfig, Nic, Switch
-from repro.obs.causal import NULL_CAUSAL
+from repro.obs.probe import NULL_PROBE
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.resources import Mailbox
 
@@ -62,7 +62,7 @@ class Message:
     #: (same-machine) handoffs, which cannot be duplicated by the fabric.
     seq: Any = None
     #: Causal trace context ``(trace_id, span_id, parent_span_id)``
-    #: stamped by the transport when causal tracing is on; ``None``
+    #: stamped by the run's probe when causal tracing is on; ``None``
     #: otherwise.  Like ``clock`` it is a passive annotation: protocol
     #: logic never reads it, so traced runs stay byte-identical to
     #: untraced runs.
@@ -158,8 +158,7 @@ class Network:
         sim: Simulator,
         machines: int,
         config: NetworkConfig,
-        tracer=None,
-        sanitizer=None,
+        probe=NULL_PROBE,
         extra_endpoints: int = 0,
         integrity: bool = True,
     ):
@@ -200,23 +199,10 @@ class Network:
         self.messages_corrupted = 0
         self.messages_duplicated = 0
         self.messages_reordered = 0
-        self._san = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
-        self._trace_on = tracer is not None and tracer.enabled
-        #: Causal DAG recorder (message sends/deliveries become edges);
-        #: the null recorder when tracing is off.
-        self.causal = tracer.causal if self._trace_on else NULL_CAUSAL
-        if self._trace_on:
-            from repro.obs.tracer import TID_NIC_RX, TID_NIC_TX
-
-            for machine, nic in enumerate(self.nics):
-                nic.egress.enable_trace(
-                    tracer.thread(machine, TID_NIC_TX, "nic.tx"), label="tx"
-                )
-                nic.ingress.enable_trace(
-                    tracer.thread(machine, TID_NIC_RX, "nic.rx"), label="rx"
-                )
+        #: The run's instrumentation: sends and deliveries become
+        #: sanitizer sync edges and causal DAG edges.
+        self.probe = probe
+        probe.trace_nics(self.nics)
 
     # -- service registry ----------------------------------------------
 
@@ -334,17 +320,9 @@ class Network:
             size=size,
             payload=payload,
             send_time=self.sim.now,
-            clock=(
-                self._san.on_send(src, kind)
-                if self._san is not None
-                else None
-            ),
             epoch=epoch,
         )
-        if self.causal.enabled:
-            message.ctx = self.causal.on_send(
-                kind, src, dst, size, parent=parent, attempt=attempt
-            )
+        self.probe.on_send(message, parent=parent, attempt=attempt)
         mailbox = self.mailbox(dst, service)
         delivered = Event(self.sim, name=f"deliver.{kind}")
 
@@ -364,8 +342,7 @@ class Network:
             return delivered
 
         wire_size = size + self.MESSAGE_OVERHEAD
-        label = f"tx:{kind}" if self._trace_on else None
-        tx_done = self.nics[src].egress.service(wire_size, label=label)
+        tx_done = self.nics[src].egress.service(wire_size, label=f"tx:{kind}")
 
         def after_tx(_event: Event) -> None:
             if not (self._reachable[src] and self._reachable[dst]):
@@ -417,8 +394,9 @@ class Network:
                         0.0, self._receive, dst, wire_size,
                         mailbox, message, delivered, False,
                     )
-        label = f"rx:{message.kind}" if self._trace_on else None
-        rx_done = self.nics[dst].ingress.service(wire_size, label=label)
+        rx_done = self.nics[dst].ingress.service(
+            wire_size, label=f"rx:{message.kind}"
+        )
         rx_done.subscribe(lambda _e: self._deliver(mailbox, message, delivered))
 
     def _deliver(
@@ -432,12 +410,7 @@ class Network:
             if not window.accept(message.seq):
                 self.duplicates_suppressed += 1
                 return
-        if self._san is not None and message.clock is not None:
-            # Receipt of a synchronization message joins the sender's
-            # vector clock into the destination machine (happens-before).
-            self._san.on_receive(message.dst, message.clock)
-        if message.ctx is not None:
-            self.causal.on_deliver(message.ctx)
+        self.probe.on_deliver(message)
         mailbox.put(message)
         if not delivered.triggered:
             delivered.trigger(message)

@@ -3,9 +3,9 @@
 Three layers of increasing interpretation — spans, interval attribution,
 causal chains:
 
-* :mod:`repro.obs.tracer` — a zero-cost-when-disabled :class:`Tracer`
-  keyed to the simulated clock, recording typed spans, instants and
-  counters on per-machine engine/device/NIC tracks;
+* :mod:`repro.obs.tracer` — the :class:`Tracer`, keyed to the
+  simulated clock, recording typed spans, instants and counters on
+  per-machine engine/device/NIC tracks;
 * :mod:`repro.obs.critpath` — the bottleneck-attribution analyzer: an
   exact per-machine decomposition of wall clock into resource
   categories, the Eq. 4 utilization check and the straggler detector;
@@ -17,6 +17,10 @@ causal chains:
 
 Supporting modules:
 
+* :mod:`repro.obs.probe` — the one instrumentation seam: the per-run
+  :class:`~repro.obs.probe.Probe` every engine reports to, which feeds
+  the tracer, the causal recorder and the happens-before sanitizer
+  (a plain run holds the no-op null probe);
 * :mod:`repro.obs.counters` — :class:`CounterRegistry` time series plus
   the :class:`ResourceSampler` process that snapshots device and NIC
   meters periodically (Fig. 5-style utilization timelines from a live
@@ -42,11 +46,9 @@ Typical use::
 """
 
 from repro.obs.causal import (
-    NULL_CAUSAL,
     BarrierChain,
     CausalError,
     CausalRecorder,
-    NullCausalRecorder,
     barrier_chains,
     causal_edges_from_flows,
     causal_events_from_trace,
@@ -87,15 +89,6 @@ from repro.obs.report import (
     trace_report_json,
 )
 from repro.obs.tracer import (
-    NULL_TRACER,
-    NULL_TRACK,
-    TID_CPU,
-    TID_DEVICE,
-    TID_ENGINE,
-    TID_JOB,
-    TID_NIC_RX,
-    TID_NIC_TX,
-    NullTracer,
     TraceError,
     Tracer,
     Track,
@@ -109,20 +102,9 @@ __all__ = [
     "CausalError",
     "CausalRecorder",
     "CounterRegistry",
-    "NULL_CAUSAL",
-    "NULL_TRACER",
-    "NULL_TRACK",
-    "NullCausalRecorder",
-    "NullTracer",
     "RECOVERY_CATEGORIES",
     "RECOVERY_WALL_CATEGORIES",
     "ResourceSampler",
-    "TID_CPU",
-    "TID_DEVICE",
-    "TID_ENGINE",
-    "TID_JOB",
-    "TID_NIC_RX",
-    "TID_NIC_TX",
     "TimeSeries",
     "analyze_chrome_trace",
     "analyze_events",

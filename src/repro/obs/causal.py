@@ -41,8 +41,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "CausalError",
     "CausalRecorder",
-    "NULL_CAUSAL",
-    "NullCausalRecorder",
     "BarrierChain",
     "barrier_chains",
     "causal_events_from_trace",
@@ -97,8 +95,6 @@ class CausalRecorder:
         "_next_id",
         "trace_id",
     )
-
-    enabled = True
 
     def __init__(self, tracer):
         self._tracer = tracer
@@ -281,46 +277,6 @@ class CausalRecorder:
         if args:
             event.update(args)
         return event
-
-
-class NullCausalRecorder:
-    """Disabled recorder: records nothing, hands out no contexts."""
-
-    __slots__ = ()
-
-    enabled = False
-    events: List[Dict[str, Any]] = []
-    trace_id = 0
-
-    def on_bind(self):
-        pass
-
-    def head(self, machine):
-        return None
-
-    def set_head(self, machine, span_id):
-        pass
-
-    def on_send(self, kind, src, dst, size, parent=None, attempt=0):
-        return None
-
-    def on_deliver(self, ctx):
-        pass
-
-    def on_dispatch(self, machine, ctx):
-        pass
-
-    def barrier_arrive(self, machine, epoch, label, phase):
-        return None
-
-    def barrier_release(self, machine, epoch, label, phase):
-        return None
-
-    def mark(self, cat, machine=None, parent=None, parents=None, args=None):
-        return None
-
-
-NULL_CAUSAL = NullCausalRecorder()
 
 
 # ---------------------------------------------------------------------------

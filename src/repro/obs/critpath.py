@@ -748,8 +748,6 @@ def analyze_tracer(
     tracer: Tracer, config: Optional[Dict[str, object]] = None
 ) -> AttributionReport:
     """Attribute a live (in-process) trace recording."""
-    if not tracer.enabled:
-        raise AttributionError("tracer is disabled; nothing to attribute")
     return analyze_events(
         tracer.events, duration=tracer.end_time, config=config
     )

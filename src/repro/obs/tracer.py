@@ -12,10 +12,11 @@ machine (:data:`TID_ENGINE`, :data:`TID_DEVICE`, :data:`TID_NIC_TX`,
 
 Design constraints, in order:
 
-1. **Zero cost when disabled.**  Components hold a :class:`Track` (or
-   :data:`NULL_TRACK`); every method of the null objects is a no-op and
-   hot paths additionally guard on ``track.enabled`` before formatting
-   labels.
+1. **Cheap when disabled.**  Components never hold the tracer:
+   they report to the run's :class:`~repro.obs.probe.Probe`, which
+   hands out :class:`Track` objects only when a tracer is attached.  A
+   plain run holds the null probe, whose hooks are no-op methods, so an
+   untraced run records nothing and carries no tracing branch.
 2. **Determinism.**  All timestamps come from the simulated clock; the
    recording order is the (deterministic) simulation callback order, so
    two runs with the same seed produce byte-identical exports.
@@ -33,26 +34,18 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.causal import NULL_CAUSAL, CausalRecorder
+from repro.obs.causal import CausalRecorder
 from repro.obs.counters import CounterRegistry
 
-#: Thread ids within a machine process (Chrome ``tid``).
+#: Thread ids within a machine process (Chrome ``tid``); the run's
+#: :class:`~repro.obs.probe.Probe` assigns components to them and names
+#: each track.
 TID_JOB = 0
 TID_ENGINE = 1
 TID_DEVICE = 2
 TID_NIC_TX = 3
 TID_NIC_RX = 4
 TID_CPU = 5
-
-#: Human names for the fixed per-machine threads.
-THREAD_NAMES = {
-    TID_JOB: "job",
-    TID_ENGINE: "engine",
-    TID_DEVICE: "device",
-    TID_NIC_TX: "nic.tx",
-    TID_NIC_RX: "nic.rx",
-    TID_CPU: "cpu",
-}
 
 
 class TraceError(RuntimeError):
@@ -63,8 +56,6 @@ class Track:
     """A (pid, tid) lane of the trace; the handle components record on."""
 
     __slots__ = ("tracer", "pid", "tid")
-
-    enabled = True
 
     def __init__(self, tracer: "Tracer", pid: int, tid: int):
         self.tracer = tracer
@@ -109,55 +100,6 @@ class Track:
         self.tracer.instant(self.pid, self.tid, name, cat=cat, args=args, ts=ts)
 
 
-class _NullTrack:
-    """No-op track: every recording method does nothing."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def begin(self, name, cat=None, args=None):  # noqa: D102 - no-op
-        pass
-
-    def end(self, args=None):
-        pass
-
-    def complete(self, name, start, duration, cat=None, args=None):
-        pass
-
-    def instant(self, name, cat=None, args=None, ts=None):
-        pass
-
-
-NULL_TRACK = _NullTrack()
-
-
-class NullTracer:
-    """Disabled tracer: hands out null tracks, records nothing."""
-
-    enabled = False
-    sample_interval: Optional[float] = None
-    causal = NULL_CAUSAL
-
-    def thread(self, pid, tid, name=None) -> _NullTrack:
-        return NULL_TRACK
-
-    def set_process(self, pid, name):
-        pass
-
-    def bind_run(self, clock):
-        pass
-
-    def instant(self, pid, tid, name, cat=None, args=None, ts=None):
-        pass
-
-    def counter(self, pid, name, value, ts=None):
-        pass
-
-
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """Collects typed trace events against the simulated clock.
 
@@ -165,8 +107,6 @@ class Tracer:
     periodic resource samplers that the runtime attaches when tracing is
     on; ``None`` disables time-series sampling while keeping spans.
     """
-
-    enabled = True
 
     def __init__(self, sample_interval: Optional[float] = 1e-3):
         if sample_interval is not None and sample_interval <= 0:
@@ -222,9 +162,7 @@ class Tracer:
 
     def thread(self, pid: int, tid: int, name: Optional[str] = None) -> Track:
         """Get the track for ``(pid, tid)``, optionally naming it."""
-        if name is None:
-            name = THREAD_NAMES.get(tid, f"track{tid}")
-        self._threads[(pid, tid)] = name
+        self._threads[(pid, tid)] = f"track{tid}" if name is None else name
         return Track(self, pid, tid)
 
     @property

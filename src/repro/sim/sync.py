@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.obs.probe import NULL_PROBE
 from repro.sim.engine import Event, SimulationError, Simulator
 
 
@@ -26,7 +27,7 @@ class Barrier:
         sim: Simulator,
         parties: int,
         name: str = "barrier",
-        sanitizer=None,
+        probe=NULL_PROBE,
     ):
         if parties < 1:
             raise ValueError(f"parties must be >= 1, got {parties}")
@@ -37,9 +38,7 @@ class Barrier:
         self._arrived: List[Event] = []
         self._arrival_times: List[float] = []
         self._arrival_parties: List[Optional[int]] = []
-        self._san = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
+        self.probe = probe
         # Total time spent waiting at this barrier, per party index order
         # of arrival (aggregated, for diagnostics).
         self.total_wait_time = 0.0
@@ -108,8 +107,7 @@ class Barrier:
             for arrival in times:
                 self.total_wait_time += release_time - arrival
             self.generation += 1
-            if self._san is not None:
-                self._san.on_barrier(parties)
+            self.probe.on_barrier(parties)
             for waiter in waiters:
                 waiter.trigger(self.generation)
         return event

@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.net.transport import Network
-from repro.obs.tracer import NULL_TRACK
+from repro.obs.probe import NULL_PROBE
 from repro.sim.engine import Event, Simulator
 from repro.sim.resources import FifoServer
 from repro.store.chunk import Chunk, ChunkKind
@@ -64,10 +64,8 @@ class StorageEngine:
         machine: int,
         device: DeviceSpec,
         backend,
-        tracer=None,
-        sanitizer=None,
+        probe=NULL_PROBE,
         integrity: bool = True,
-        job_track=NULL_TRACK,
     ):
         self.sim = sim
         self.network = network
@@ -80,17 +78,8 @@ class StorageEngine:
             name=f"m{machine}.{device.name}",
         )
         self.backend = backend
-        self._san = (
-            sanitizer if sanitizer is not None and sanitizer.enabled else None
-        )
-        self._trace_on = tracer is not None and tracer.enabled
-        if self._trace_on:
-            from repro.obs.tracer import TID_DEVICE
-
-            self.device.enable_trace(
-                tracer.thread(machine, TID_DEVICE, device.track_label()),
-                label="io",
-            )
+        self.probe = probe
+        probe.trace_device(machine, self.device, device.track_label())
         self._mailbox = network.register(machine, SERVICE)
         self.reads_served = 0
         self.writes_served = 0
@@ -106,7 +95,6 @@ class StorageEngine:
         # Integrity hardening (config.integrity_checks) and the armed
         # byzantine device faults it defends against.
         self._integrity = integrity
-        self._job_track = job_track
         self.faults = StorageFaultState()
         #: Corrupt reads caught by verify-on-read and served again from
         #: the intact backend copy (device charged for both attempts).
@@ -224,8 +212,7 @@ class StorageEngine:
         through this method rather than touching the device directly
         (the mediation the CHX003 lint rule enforces).
         """
-        label = "pread" if self._trace_on else None
-        return self.device.service(size, label=label)
+        return self.device.service(size, label="pread")
 
     # -- telemetry accessors (samplers must not reach into the device) --
 
@@ -298,15 +285,14 @@ class StorageEngine:
 
     def _handle_read(self, message) -> None:
         request_id, requester, reply_service, partition, kind = message.payload
-        if self._san is not None:
-            # Advancing the read-once cursor mutates shared store state;
-            # it is safe only because this engine serializes all access.
-            self._san.access(
-                ("chunks", self.machine, partition, kind),
-                self.machine,
-                write=True,
-                label="store.fetch",
-            )
+        # Advancing the read-once cursor mutates shared store state; it
+        # is safe only because this engine serializes all access.
+        self.probe.access(
+            ("chunks", self.machine, partition, kind),
+            self.machine,
+            write=True,
+            label="store.fetch",
+        )
         chunk = self.backend.fetch_any(partition, kind)
         if chunk is None:
             self.exhausted_replies += 1
@@ -322,7 +308,7 @@ class StorageEngine:
             return
         self.reads_served += 1
         self.reads_by_kind[kind] += 1
-        label = f"read:{kind.value}:p{partition}" if self._trace_on else None
+        label = f"read:{kind.value}:p{partition}"
         served = self._read_path(chunk, label)
         self._retransmit[request_id] = chunk
         done = self.device.service(served.size, label=label)
@@ -357,7 +343,7 @@ class StorageEngine:
             start = self.sim.now
             wasted = self.device.service(chunk.size, label=label)
             wasted.subscribe(
-                lambda _e: self._job_track.complete(
+                lambda _e: self.probe.job_span(
                     "integrity.reread",
                     start,
                     self.sim.now - start,
@@ -391,8 +377,9 @@ class StorageEngine:
             )
             return
         self.retransmits += 1
-        label = f"reread:p{chunk.partition}" if self._trace_on else None
-        done = self.device.service(chunk.size, label=label)
+        done = self.device.service(
+            chunk.size, label=f"reread:p{chunk.partition}"
+        )
         done.subscribe(
             lambda _e, epoch=message.epoch: self._reply(
                 requester,
@@ -416,7 +403,7 @@ class StorageEngine:
         if not self._integrity or verify_chunk(chunk):
             return False
         self.write_rejects += 1
-        self._job_track.instant(
+        self.probe.job_instant(
             "integrity.write_reject",
             cat="integrity",
             args={"machine": self.machine, "partition": chunk.partition},
@@ -448,7 +435,7 @@ class StorageEngine:
             start = self.sim.now
             rewrite = self.device.service(chunk.size, label=label)
             rewrite.subscribe(
-                lambda _e: self._job_track.complete(
+                lambda _e: self.probe.job_span(
                     "integrity.rewrite",
                     start,
                     self.sim.now - start,
@@ -463,19 +450,14 @@ class StorageEngine:
         if self._reject_write(message):
             return
         request_id, requester, reply_service, chunk = message.payload
-        if self._san is not None:
-            self._san.access(
-                ("chunks", self.machine, chunk.partition, chunk.kind),
-                self.machine,
-                write=True,
-                label="store.append",
-            )
-        self.writes_served += 1
-        label = (
-            f"write:{chunk.kind.value}:p{chunk.partition}"
-            if self._trace_on
-            else None
+        self.probe.access(
+            ("chunks", self.machine, chunk.partition, chunk.kind),
+            self.machine,
+            write=True,
+            label="store.append",
         )
+        self.writes_served += 1
+        label = f"write:{chunk.kind.value}:p{chunk.partition}"
         done = self.device.service(chunk.size, label=label)
         epoch = message.epoch
 
@@ -532,7 +514,7 @@ class StorageEngine:
             return
         self.reads_served += 1
         self.reads_by_kind[ChunkKind.VERTICES] += 1
-        label = f"vread:p{partition}" if self._trace_on else None
+        label = f"vread:p{partition}"
         served = self._read_path(chunk, label)
         done = self.device.service(served.size, label=label)
         done.subscribe(
@@ -552,7 +534,7 @@ class StorageEngine:
             return
         request_id, requester, reply_service, chunk = message.payload
         self.writes_served += 1
-        label = f"vwrite:p{chunk.partition}" if self._trace_on else None
+        label = f"vwrite:p{chunk.partition}"
         done = self.device.service(chunk.size, label=label)
         epoch = message.epoch
 
@@ -583,8 +565,7 @@ class StorageEngine:
         """
         request_id, requester, reply_service, size = message.payload
         self.writes_served += 1
-        label = "pwrite" if self._trace_on else None
-        done = self.device.service(size, label=label)
+        done = self.device.service(size, label="pwrite")
         done.subscribe(
             lambda _e, epoch=message.epoch: self._reply(
                 requester,
@@ -599,13 +580,12 @@ class StorageEngine:
 
     def _handle_delete(self, message) -> None:
         partition, kind = message.payload
-        if self._san is not None:
-            self._san.access(
-                ("chunks", self.machine, partition, kind),
-                self.machine,
-                write=True,
-                label="store.delete",
-            )
+        self.probe.access(
+            ("chunks", self.machine, partition, kind),
+            self.machine,
+            write=True,
+            label="store.delete",
+        )
         # Deletion is a metadata operation: no device time.
         self.backend.delete(partition, kind)
 

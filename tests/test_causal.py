@@ -24,7 +24,7 @@ import pytest
 
 from repro.algorithms import PageRank
 from repro.core.config import ClusterConfig
-from repro.core.runtime import _check_open_spans, run_algorithm
+from repro.core.runtime import run_algorithm
 from repro.graph import rmat_graph
 from repro.net.topology import GIGE_40_BENCH
 from repro.obs import (
@@ -39,7 +39,6 @@ from repro.obs import causal as causal_mod
 from repro.obs.causal import (
     CausalError,
     CausalRecorder,
-    NULL_CAUSAL,
     barrier_chains,
     causal_edges_from_flows,
     causal_events_from_trace,
@@ -55,6 +54,7 @@ from repro.obs.causal import (
     slowest_chains,
 )
 from repro.obs.export import chrome_trace_dict
+from repro.obs.probe import _check_open_spans
 from repro.obs.report import summarize_trace
 from repro.store.device import SSD_BENCH
 
@@ -150,12 +150,6 @@ class TestRecorder:
         assert rec.head(1) is None
         assert len(rec.events) == 1
 
-    def test_null_recorder_is_inert(self):
-        assert NULL_CAUSAL.on_send("read", 0, 1, 64) is None
-        assert NULL_CAUSAL.barrier_release(0, 0, "1", "scatter") is None
-        assert NULL_CAUSAL.mark("x") is None
-        assert not NULL_CAUSAL.enabled
-        assert NULL_CAUSAL.events == []
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,60 @@ class TestTrace:
         with pytest.raises(SystemExit):
             main(["trace-report", str(tmp_path / "nope.json")])
 
+    @pytest.mark.parametrize("interval", ["-1", "-0.001", "nan", "inf"])
+    def test_bad_sample_interval_rejected(self, tmp_path, interval, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--algorithm", "PR", "--scale", "7", "--machines",
+                "2", "--iterations", "1", "--trace",
+                str(tmp_path / "t.json"), "--trace-sample-interval", interval,
+            ])
+        assert exc.value.code == 2
+        assert "--trace-sample-interval" in capsys.readouterr().err
+
+    def test_zero_sample_interval_disables_sampling(self, tmp_path, capsys):
+        path = str(tmp_path / "t.json")
+        self._run_traced(capsys, path, "--trace-sample-interval", "0")
+        events = json.loads(open(path).read())["traceEvents"]
+        assert events
+        assert not [e for e in events if e["ph"] == "C"]
+
+
+class TestSanitizeFocus:
+    ARGS = [
+        "run", "--algorithm", "PR", "--scale", "7", "--machines", "2",
+        "--iterations", "1", "--sanitize", "--focus-from-check",
+    ]
+
+    def test_focus_is_independent_of_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A foreign src/ tree with no sanitizer sites must not shadow the
+        # package's own source.
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "other.py").write_text("x = 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert (
+            "sanitizer focus (from CHX012 candidates): "
+            "accum, chunks, steal, vertex" in out
+        )
+        summary = [
+            line for line in out.splitlines() if line.startswith("sanitizer:")
+        ]
+        assert summary and summary[0].startswith("sanitizer: 0 race(s), ")
+        tracked = int(summary[0].split(", ")[1].split()[0])
+        assert tracked > 0
+
+    def test_empty_focus_set_is_an_error(self, monkeypatch):
+        import repro.analysis.flow as flow
+
+        monkeypatch.setattr(flow, "collect_focus_kinds", lambda paths: [])
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS)
+        assert "no sanitizer access sites" in str(exc.value.code)
+
 
 class TestCapacity:
     def test_small_projection(self, capsys):

@@ -264,11 +264,9 @@ class TestRealRunClosure:
                 live.cluster_seconds[category], abs=1e-4
             )
 
-    def test_disabled_tracer_rejected(self):
-        from repro.obs import NULL_TRACER
-
+    def test_empty_tracer_rejected(self):
         with pytest.raises(AttributionError):
-            analyze_tracer(NULL_TRACER)
+            analyze_tracer(Tracer(sample_interval=None))
 
 
 class TestBottleneckNaming:

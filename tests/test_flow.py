@@ -630,6 +630,22 @@ class TestCHX012:
         kinds = collect_focus_kinds(["src"])
         assert "vertex" in kinds
         assert "accum" in kinds
+        # Every sanitizer access site of the engines stays visible to the
+        # static pass, whichever receiver the engines report through.
+        candidates = collect_race_candidates(ProjectIndex.build(["src/repro"]))
+        assert sorted((c.kind, c.label) for c in candidates) == [
+            ("accum", "accum.init"),
+            ("accum", "gather.accum"),
+            ("accum", "merge.read"),
+            ("chunks", "store.append"),
+            ("chunks", "store.delete"),
+            ("chunks", "store.fetch"),
+            ("steal", "accum.recv"),
+            ("steal", "steal.decide"),
+            ("vertex", "apply.write"),
+            ("vertex", "gather.read"),
+            ("vertex", "scatter.read"),
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from repro.faults import FaultPlan
 from repro.graph.convert import to_undirected
 from repro.obs import (
     CounterRegistry,
-    NULL_TRACER,
     ResourceSampler,
     TraceError,
     Tracer,
@@ -30,7 +29,7 @@ from repro.obs import (
     write_chrome_trace,
     write_counters_csv,
 )
-from repro.obs.tracer import NULL_TRACK, TID_DEVICE, TID_ENGINE, TID_JOB
+from repro.obs.tracer import TID_DEVICE, TID_ENGINE, TID_JOB
 from repro.sim.engine import Simulator
 
 
@@ -82,18 +81,6 @@ class TestTracerPrimitives:
         tracer.instant(0, TID_JOB, "second")
         assert tracer.events[1]["ts"] == pytest.approx(3.0)
         assert tracer.end_time == pytest.approx(3.0)
-
-    def test_null_objects_are_inert(self):
-        assert not NULL_TRACER.enabled
-        track = NULL_TRACER.thread(0, TID_ENGINE)
-        assert track is NULL_TRACK
-        assert not track.enabled
-        track.begin("x")
-        track.end()
-        track.complete("x", 0.0, 1.0)
-        track.instant("x")
-        NULL_TRACER.counter(0, "c", 1.0)
-        NULL_TRACER.bind_run(lambda: 0.0)
 
     def test_invalid_sample_interval(self):
         with pytest.raises(ValueError):

@@ -869,7 +869,7 @@ class TestRuleRegistration:
 
 class TestAnalyzerVersionCache:
     def test_analyzer_version_bumped_for_protocol_rules(self):
-        assert ANALYZER_VERSION == 6  # 5: CHX013-015/017 removed; 6: no hostclock exemption
+        assert ANALYZER_VERSION == 7  # 6: no hostclock exemption; 7: CHX012 reads probe.access
 
     def test_version_bump_invalidates_pickled_deep_index(
         self, tmp_path, monkeypatch

@@ -160,8 +160,8 @@ def plant_cross_machine_write(monkeypatch):
     original = ComputationEngine._process_chunk
 
     def planted(self, state, chunk, iteration):
-        if self._san is not None and self.machine == 1:
-            self._san.access(
+        if self.machine == 1:
+            self.probe.access(
                 ("vertex", 0), 1, write=True, label="injected.write"
             )
         return original(self, state, chunk, iteration)
