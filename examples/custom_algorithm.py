@@ -2,9 +2,9 @@
 """Writing your own algorithm: k-core decomposition on Chaos.
 
 Demonstrates the public extension surface — subclass
-:class:`repro.GasAlgorithm` with vectorized scatter/gather/apply and the
-runtime gives you distribution, streaming, batching and work stealing
-for free.
+:class:`repro.GasAlgorithm` with vectorized scatter/apply, declare the
+gather's ``reduction``, and the runtime gives you distribution,
+streaming, batching and work stealing for free.
 
 The algorithm: the k-core of a graph is the maximal subgraph where every
 vertex has degree >= k.  Peeling computes it iteratively — remove
@@ -38,6 +38,9 @@ class KCore(GasAlgorithm):
     vertex_bytes = 8
     accum_bytes = 4
     max_iterations = None  # peel until quiescent
+    # Gather sums the losses: np.add.at(accum, dst_local, values).  An
+    # integer sum is exact in any order, so no canonical replay is needed.
+    reduction = np.add
 
     def __init__(self, k: int, alive=None, degree=None):
         if k < 1:
@@ -67,9 +70,6 @@ class KCore(GasAlgorithm):
 
     def make_accumulator(self, n):
         return np.zeros(n, dtype=np.int64)
-
-    def gather(self, accum, dst_local, values, state=None):
-        np.add.at(accum, dst_local, values)
 
     def apply(self, values, accum, iteration):
         values["degree"] -= accum

@@ -29,6 +29,7 @@ class BeliefPropagation(GasAlgorithm):
     update_bytes = 8
     vertex_bytes = 8
     accum_bytes = 4
+    reduction = np.add
 
     def __init__(
         self,
@@ -65,14 +66,6 @@ class BeliefPropagation(GasAlgorithm):
 
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.zeros(n, dtype=np.float64)
-
-    def gather(self, accum, dst_local, values, state=None) -> None:
-        np.add.at(accum, dst_local, values)
-
-    def combine_updates(self, dst, values):
-        from repro.algorithms.combiners import combine_by_sum
-
-        return combine_by_sum(dst, values)
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         new_belief = (1.0 - self.damping) * values["belief"] + self.damping * (

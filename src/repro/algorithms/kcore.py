@@ -38,6 +38,7 @@ class KCore(GasAlgorithm):
     vertex_bytes = 8
     accum_bytes = 4
     max_iterations = None  # peel until quiescent
+    reduction = np.add
 
     def __init__(
         self,
@@ -72,14 +73,6 @@ class KCore(GasAlgorithm):
 
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.zeros(n, dtype=np.int64)
-
-    def gather(self, accum, dst_local, values, state=None) -> None:
-        np.add.at(accum, dst_local, values)
-
-    def combine_updates(self, dst, values):
-        from repro.algorithms.combiners import combine_by_sum
-
-        return combine_by_sum(dst, values)
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         values["degree"] -= accum

@@ -40,6 +40,7 @@ class MIS(GasAlgorithm):
     vertex_bytes = 8
     accum_bytes = 4
     max_iterations = None
+    reduction = np.minimum
 
     def __init__(self):
         self._identity = np.iinfo(np.int64).max
@@ -73,9 +74,6 @@ class MIS(GasAlgorithm):
 
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.full(n, self._identity, dtype=np.int64)
-
-    def gather(self, accum, dst_local, values, state=None) -> None:
-        np.minimum.at(accum, dst_local, values)
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         status = values["status"]

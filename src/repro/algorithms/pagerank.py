@@ -27,6 +27,7 @@ class PageRank(GasAlgorithm):
     update_bytes = 8  # 4-byte destination id + 4-byte float contribution
     vertex_bytes = 8  # rank + degree, compact format
     accum_bytes = 4
+    reduction = np.add
 
     def __init__(self, iterations: int = 5, damping: float = 0.85):
         if iterations < 1:
@@ -60,20 +61,6 @@ class PageRank(GasAlgorithm):
 
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.zeros(n, dtype=np.float64)
-
-    def gather(
-        self,
-        accum: np.ndarray,
-        dst_local: np.ndarray,
-        values: np.ndarray,
-        state=None,
-    ) -> None:
-        np.add.at(accum, dst_local, values)
-
-    def combine_updates(self, dst, values):
-        from repro.algorithms.combiners import combine_by_sum
-
-        return combine_by_sum(dst, values)
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         new_rank = (1.0 - self.damping) + self.damping * accum

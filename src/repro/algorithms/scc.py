@@ -44,6 +44,7 @@ class _ForwardColor(GasAlgorithm):
     vertex_bytes = 16
     accum_bytes = 8
     max_iterations = None
+    reduction = np.maximum
 
     def __init__(self, assigned: np.ndarray, color: np.ndarray):
         self._assigned = assigned
@@ -64,9 +65,6 @@ class _ForwardColor(GasAlgorithm):
 
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.full(n, -1, dtype=np.int64)
-
-    def gather(self, accum, dst_local, values, state=None) -> None:
-        np.maximum.at(accum, dst_local, values)
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         improved = ~values["assigned"] & (accum > values["color"])

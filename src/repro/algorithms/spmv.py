@@ -21,6 +21,7 @@ class SpMV(GasAlgorithm):
     vertex_bytes = 8
     accum_bytes = 4
     max_iterations = 1
+    reduction = np.add
 
     def __init__(self, x: np.ndarray = None, seed: int = 0):
         """``x`` is the input vector; defaults to a deterministic
@@ -48,14 +49,6 @@ class SpMV(GasAlgorithm):
 
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.zeros(n, dtype=np.float64)
-
-    def gather(self, accum, dst_local, values, state=None) -> None:
-        np.add.at(accum, dst_local, values)
-
-    def combine_updates(self, dst, values):
-        from repro.algorithms.combiners import combine_by_sum
-
-        return combine_by_sum(dst, values)
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         values["y"][:] = accum

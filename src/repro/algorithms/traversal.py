@@ -30,6 +30,7 @@ class BFS(GasAlgorithm):
     vertex_bytes = 8
     accum_bytes = 4
     max_iterations = None  # run until the frontier empties
+    reduction = np.minimum
 
     def __init__(self, root: int = 0):
         if root < 0:
@@ -71,14 +72,6 @@ class BFS(GasAlgorithm):
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.full(n, self._identity, dtype=np.int64)
 
-    def gather(self, accum, dst_local, values, state=None) -> None:
-        np.minimum.at(accum, dst_local, values)
-
-    def combine_updates(self, dst, values):
-        from repro.algorithms.combiners import combine_by_min
-
-        return combine_by_min(dst, values)
-
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         discovered = (values["parent"] == -1) & (accum != self._identity)
         values["parent"][discovered] = accum[discovered]
@@ -103,6 +96,7 @@ class WCC(GasAlgorithm):
     vertex_bytes = 8
     accum_bytes = 4
     max_iterations = None
+    reduction = np.minimum
 
     def __init__(self):
         self._identity = np.iinfo(np.int64).max
@@ -121,14 +115,6 @@ class WCC(GasAlgorithm):
 
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.full(n, self._identity, dtype=np.int64)
-
-    def gather(self, accum, dst_local, values, state=None) -> None:
-        np.minimum.at(accum, dst_local, values)
-
-    def combine_updates(self, dst, values):
-        from repro.algorithms.combiners import combine_by_min
-
-        return combine_by_min(dst, values)
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         improved = accum < values["label"]
@@ -155,6 +141,10 @@ class SSSP(GasAlgorithm):
     vertex_bytes = 8
     accum_bytes = 4
     max_iterations = None
+    #: Exact in any order: weights are validated finite and
+    #: non-negative and distances start at +0.0, so no destination ever
+    #: sees a NaN or both signed zeros.
+    reduction = np.minimum
 
     def __init__(self, root: int = 0):
         if root < 0:
@@ -185,14 +175,6 @@ class SSSP(GasAlgorithm):
 
     def make_accumulator(self, n: int) -> np.ndarray:
         return np.full(n, np.inf, dtype=np.float64)
-
-    def gather(self, accum, dst_local, values, state=None) -> None:
-        np.minimum.at(accum, dst_local, values)
-
-    def combine_updates(self, dst, values):
-        from repro.algorithms.combiners import combine_by_min
-
-        return combine_by_min(dst, values)
 
     def apply(self, values: State, accum: np.ndarray, iteration: int) -> int:
         improved = accum < values["distance"]

@@ -32,7 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.gas import GasAlgorithm, GraphContext
+from repro.core.gas import GasAlgorithm, GraphContext, check_weights
 from repro.core.metrics import IterationStats, JobResult
 from repro.core.workload import DataWorkload
 from repro.graph.edgelist import EdgeList, bytes_per_edge
@@ -81,8 +81,7 @@ def run_giraph(
         config = GiraphConfig(**overrides)
     elif overrides:
         config = replace(config, **overrides)
-    if algorithm.needs_weights and not edges.weighted:
-        raise ValueError(f"{algorithm.name} requires edge weights")
+    check_weights(algorithm, edges.weight)
 
     machines = config.machines
     bandwidth = config.device.bandwidth

@@ -27,7 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.config import ClusterConfig
-from repro.core.gas import GasAlgorithm, GraphContext
+from repro.core.gas import GasAlgorithm, GraphContext, check_weights
 from repro.core.metrics import IterationStats, JobResult
 from repro.core.workload import DataWorkload
 from repro.graph.edgelist import EdgeList, bytes_per_edge
@@ -79,8 +79,7 @@ def run_xstream(
         config = XStreamConfig(**overrides)
     elif overrides:
         config = replace(config, **overrides)
-    if algorithm.needs_weights and not edges.weighted:
-        raise ValueError(f"{algorithm.name} requires edge weights")
+    check_weights(algorithm, edges.weight)
 
     bandwidth = config.device.bandwidth
     cores = config.cores

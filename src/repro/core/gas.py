@@ -7,15 +7,18 @@ runs a scatter phase (edges → updates) and a gather phase (updates →
 accumulators, then Apply folds accumulators into vertex values).
 
 User algorithms subclass :class:`GasAlgorithm` and provide vectorized
-``scatter`` / ``gather`` / ``apply`` functions over numpy arrays —
-Chaos' per-edge C++ callbacks become per-chunk array callbacks here, the
-natural Python equivalent with identical semantics.
+``scatter`` / ``apply`` functions over numpy arrays — Chaos' per-edge
+C++ callbacks become per-chunk array callbacks here, the natural Python
+equivalent with identical semantics.  Gather is usually not written at
+all: an algorithm declares its ``reduction`` (``np.add``,
+``np.minimum`` or ``np.maximum``) and the base class derives both
+``gather`` and the optional update combiner from it.  Only gathers that
+filter updates against the destination's vertex state are hand-written.
 
-All three functions must be order-independent (commutative/associative
-in their accumulation effects), which the runtime exploits for parallel
-execution and for folding stealers' updates into the master's
-(:class:`repro.core.workload.GatherBuffer`) — exactly the requirement
-the paper states at the end of Section 2.
+Gather must be commutative and associative, which the runtime exploits
+for parallel execution and for folding stealers' updates into the
+master's (:class:`repro.core.workload.GatherBuffer`) — exactly the
+requirement the paper states at the end of Section 2.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ class GasAlgorithm(abc.ABC):
     Wire sizes (``update_bytes``, ``vertex_bytes``, ``accum_bytes``)
     drive the modelled I/O volumes; they follow the paper's compact
     format (4-byte ids and values for graphs under 2^32 vertices).
+
+    Subclasses either declare ``reduction`` or override ``gather``;
+    :class:`repro.core.workload.DataWorkload` rejects a class that does
+    neither, or that declares any other ufunc.
     """
 
     #: Human-readable algorithm name (used in results and benchmarks).
@@ -73,6 +80,17 @@ class GasAlgorithm(abc.ABC):
     vertex_bytes: int = 8
     #: Modelled bytes of one accumulator entry (shipped by gather stealers).
     accum_bytes: int = 8
+    #: The whole gather, as one ufunc: ``np.add``, ``np.minimum`` or
+    #: ``np.maximum`` means gather is ``reduction.at(accum, dst_local,
+    #: values)`` over every update, and the base class derives
+    #: ``gather`` and ``combine_updates`` from it.  ``None`` means the
+    #: subclass overrides ``gather`` and has no combiner.  The runtime
+    #: replays updates in canonical order only for ``None`` and for
+    #: ``np.add`` over an inexact accumulator; every other declared
+    #: reduction is folded in arrival order, so it must be exact in any
+    #: order: a min or max must never see both signed zeros, or a NaN,
+    #: at one destination.
+    reduction: Optional[np.ufunc] = None
 
     # -- state ----------------------------------------------------------
 
@@ -104,7 +122,6 @@ class GasAlgorithm(abc.ABC):
     def make_accumulator(self, n: int) -> np.ndarray:
         """A length-``n`` accumulator array filled with the identity."""
 
-    @abc.abstractmethod
     def gather(
         self,
         accum: np.ndarray,
@@ -115,12 +132,14 @@ class GasAlgorithm(abc.ABC):
         """Fold a chunk of update values into the accumulator, in place.
 
         Must be commutative and associative over updates (Section 2).
-        ``state`` is the partition's vertex state — read-only during
-        gather, available because the vertex set is loaded into memory
-        before streaming updates (Section 5.2); some algorithms (MCST,
-        SCC, Conductance) filter updates against the destination's
-        current value.
+        The default applies the declared ``reduction``.  ``state`` is
+        the partition's vertex state — read-only during gather,
+        available because the vertex set is loaded into memory before
+        streaming updates (Section 5.2); the gathers that filter updates
+        against the destination's current value (MCST, SCC/backward,
+        Conductance) override this with ``reduction = None``.
         """
+        self.reduction.at(accum, dst_local, values)
 
     def combine_updates(
         self, dst: np.ndarray, values: np.ndarray
@@ -131,10 +150,17 @@ class GasAlgorithm(abc.ABC):
         rejects (Section 11.1: *"the cost of merging the updates to the
         same vertex outweighs the benefits from reduced network
         traffic"*).  It is optional (``ClusterConfig.aggregate_updates``)
-        so the trade-off can be measured; returning ``None`` (the
-        default) marks the algorithm as non-combinable.
+        so the trade-off can be measured.  Derived from ``reduction``:
+        one update per distinct destination, folded from the identity;
+        ``None`` (no declared reduction) marks the algorithm as
+        non-combinable.
         """
-        return None
+        if self.reduction is None:
+            return None
+        unique_dst, inverse = np.unique(dst, return_inverse=True)
+        combined = self.make_accumulator(len(unique_dst))
+        self.reduction.at(combined, inverse, values)
+        return unique_dst, combined
 
     @abc.abstractmethod
     def apply(
@@ -166,6 +192,32 @@ class GasAlgorithm(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def check_weights(algorithm: GasAlgorithm, weight: Optional[np.ndarray]) -> None:
+    """Reject edge weights that break ``algorithm``'s preconditions.
+
+    Every engine calls this before running anything: a missing weight
+    array, a NaN or infinite weight, or (with
+    ``needs_nonnegative_weights``) a negative one would otherwise yield
+    garbage or keep a relaxation from ever quiescing.
+    """
+    if not algorithm.needs_weights:
+        return
+    if weight is None:
+        raise ValueError(
+            f"{algorithm.name} requires edge weights; the input has none"
+        )
+    if not np.isfinite(weight).all():
+        raise ValueError(
+            f"{algorithm.name} requires finite edge weights; the input "
+            f"has NaN or infinite weights"
+        )
+    if algorithm.needs_nonnegative_weights and (weight < 0).any():
+        raise ValueError(
+            f"{algorithm.name} requires non-negative edge weights; the "
+            f"input has negative weights"
+        )
 
 
 class IterationStatsLike:

@@ -65,7 +65,6 @@ class JobCoordinator:
         self._scatter_started_for = self.iteration
         for engine in self.storage_engines:
             engine.reset_cursors(ChunkKind.EDGES)
-        self.workload.begin_iteration(self.iteration)
         if self.on_iteration is not None:
             self.on_iteration(self.iteration)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.compute import ComputationEngine
 from repro.core.config import ClusterConfig
-from repro.core.gas import GasAlgorithm, GraphContext
+from repro.core.gas import GasAlgorithm, GraphContext, check_weights
 from repro.core.job import JobCoordinator
 from repro.core.metrics import Breakdown, JobResult
 from repro.core.workload import DataWorkload, ModelWorkload, Workload
@@ -214,23 +214,7 @@ class ChaosCluster:
         chaos fuzzer uses this to turn hangs into reportable violations.
         """
         config = self.config
-        if algorithm.needs_weights:
-            weight = edges.weight
-            if weight is None:
-                raise ValueError(
-                    f"{algorithm.name} requires edge weights; the input "
-                    f"has none"
-                )
-            if not np.isfinite(weight).all():
-                raise ValueError(
-                    f"{algorithm.name} requires finite edge weights; the "
-                    f"input has NaN or infinite weights"
-                )
-            if algorithm.needs_nonnegative_weights and (weight < 0).any():
-                raise ValueError(
-                    f"{algorithm.name} requires non-negative edge weights; "
-                    f"the input has negative weights"
-                )
+        check_weights(algorithm, edges.weight)
 
         layout = self._make_layout(edges.num_vertices, algorithm)
         parts = partition_edges(edges, layout)

@@ -49,9 +49,11 @@ class GatherBuffer:
     that a fault-injected run equals an undisturbed run byte for byte.
 
     Workers therefore buffer the raw ``(dst_local, value)`` pairs while
-    streaming and the master replays the union once, in the canonical
-    order of :func:`canonical_update_order`, at apply time.  The replay
-    is a pure host-side reordering: the simulated timing (per-chunk CPU
+    streaming and the master gathers the union once, at apply time: in
+    the canonical order of :func:`canonical_update_order` for float sums
+    and hand-written gathers, in arrival order for the reductions that
+    are exact in any order (:func:`needs_canonical_order`).  Either way
+    the replay is host-side only: the simulated timing (per-chunk CPU
     charges, accumulator ship sizes, merge costs) is untouched.
     """
 
@@ -102,6 +104,33 @@ def canonical_update_order(
     return np.lexsort(keys)
 
 
+def needs_canonical_order(algorithm: GasAlgorithm) -> bool:
+    """Whether ``algorithm``'s gather must replay updates canonically.
+
+    A min, a max or an integer sum gives the same bits in any order, so
+    those reductions fold updates in arrival order.  A float sum rounds
+    differently per order, and a hand-written gather (``reduction is
+    None``) promises nothing, so both keep the canonical replay.  Also
+    rejects a class that neither declares a supported reduction nor
+    overrides ``gather``.
+    """
+    reduction = algorithm.reduction
+    if reduction is None:
+        if getattr(algorithm.gather, "__func__", None) is GasAlgorithm.gather:
+            raise TypeError(
+                f"{type(algorithm).__name__} must declare a reduction "
+                f"or override gather"
+            )
+        return True
+    if reduction not in (np.add, np.minimum, np.maximum):
+        raise TypeError(
+            f"{type(algorithm).__name__} declares reduction {reduction!r}; "
+            f"expected np.add, np.minimum, np.maximum or None"
+        )
+    accum_dtype = algorithm.make_accumulator(0).dtype
+    return reduction is np.add and np.issubdtype(accum_dtype, np.inexact)
+
+
 class Workload:
     """Interface between the computation engine and the data plane."""
 
@@ -113,9 +142,6 @@ class Workload:
 
     def accum_bytes(self, partition: int) -> int:
         raise NotImplementedError
-
-    def begin_iteration(self, iteration: int) -> None:
-        """Hook called by the runtime before each iteration's scatter."""
 
     def scatter_chunk(
         self, partition: int, chunk: Chunk, iteration: int
@@ -156,6 +182,7 @@ class DataWorkload(Workload):
         self.algorithm = algorithm
         self.layout = layout
         self.ctx = ctx
+        self._canonical_order = needs_canonical_order(algorithm)
         self.values: State = algorithm.init_values(ctx)
         for name, array in self.values.items():
             if len(array) != ctx.num_vertices:
@@ -241,10 +268,11 @@ class DataWorkload(Workload):
     # The accumulator handle workers pass around is a GatherBuffer of
     # raw updates, not the algorithm's numeric accumulator: the numeric
     # reduction happens exactly once per partition per iteration, at
-    # apply time, in canonical update order (see GatherBuffer).  The
-    # simulated costs are unchanged — chunk CPU is charged on receipt,
-    # the shipped "accumulator" keeps its accum_bytes wire size, and
-    # merge/apply CPU is charged by the master as before.
+    # apply time — in canonical update order where the reduction is
+    # order-sensitive (see needs_canonical_order).  The simulated costs
+    # are unchanged — chunk CPU is charged on receipt, the shipped
+    # "accumulator" keeps its accum_bytes wire size, and merge/apply CPU
+    # is charged by the master as before.
 
     def begin_gather(self, partition: int):
         return GatherBuffer()
@@ -266,10 +294,11 @@ class DataWorkload(Workload):
         )
         merged = accum.merged() if accum is not None else None
         if merged is not None:
-            order = canonical_update_order(merged["dst"], merged["value"])
-            self.algorithm.gather(
-                numeric, merged["dst"][order], merged["value"][order], state
-            )
+            dst, values = merged["dst"], merged["value"]
+            if self._canonical_order:
+                order = canonical_update_order(dst, values)
+                dst, values = dst[order], values[order]
+            self.algorithm.gather(numeric, dst, values, state)
         return int(self.algorithm.apply(state, numeric, iteration))
 
     def finished(self, iteration: int, stats) -> bool:

@@ -7,8 +7,10 @@ network and storage devices — rather than being analytically costed.
 
 The keystone invariant: for a fixed ``(config, seed)``, a fault-injected
 run's final vertex values are byte-identical to the undisturbed run's
-(requires ``aggregate_updates=False``, the default — the canonical
-gather ordering makes the numeric reduction schedule-independent).
+(requires ``aggregate_updates=False``, the default).  Float sums and
+hand-written gathers are replayed in canonical update order; min, max
+and integer-sum reductions are exact in any order
+(:func:`repro.core.workload.needs_canonical_order`).
 
 Entry points:
 

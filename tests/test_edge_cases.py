@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BFS, SSSP, PageRank, WCC, run_mcst, run_scc
+from repro.baselines import run_giraph, run_xstream
 from repro.core.runtime import run_algorithm
 from repro.graph.edgelist import EdgeList
 
@@ -108,7 +109,11 @@ def _triangle(weights):
     )
 
 
-def _rejected_within_one_second(algorithm, graph):
+def _run_chaos(algorithm, graph):
+    return run_algorithm(algorithm, graph, fast_config(2))
+
+
+def _rejected_within_one_second(algorithm, graph, run=_run_chaos):
     """Run ``algorithm`` expecting a fast ``ValueError``; a SIGALRM
     guard turns a regression into a hang-free failure."""
 
@@ -120,7 +125,7 @@ def _rejected_within_one_second(algorithm, graph):
     start = time.perf_counter()
     try:
         with pytest.raises(ValueError) as raised:
-            run_algorithm(algorithm, graph, fast_config(2))
+            run(algorithm, graph)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -142,3 +147,17 @@ class TestWeightContract:
             SSSP(root=0), _triangle([1.0, np.nan, 1.0])
         )
         assert "finite" in message
+
+    @pytest.mark.parametrize("run", [run_xstream, run_giraph])
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [([1.0, -3.0, 1.0], "non-negative"), ([1.0, np.nan, 1.0], "finite")],
+        ids=["negative", "nan"],
+    )
+    def test_baselines_share_the_contract(self, run, weights, expected):
+        """The X-Stream and Giraph baselines validate weights through
+        the same check as the Chaos runtime (no hang, no silent NaN)."""
+        message = _rejected_within_one_second(
+            SSSP(root=0), _triangle(weights), run=run
+        )
+        assert expected in message

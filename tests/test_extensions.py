@@ -4,42 +4,14 @@ and vertex-set replication (Section 6.6)."""
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, PageRank, WCC
-from repro.algorithms.combiners import combine_by_max, combine_by_min, combine_by_sum
+from repro.algorithms import BFS, MIS, SSSP, PageRank, WCC
+from repro.algorithms.scc import _ForwardColor
+from repro.core.gas import GraphContext
 from repro.core.runtime import run_algorithm
 from repro.graph import rmat_graph, to_undirected
 
 from tests.conftest import fast_config
 from tests.references import reference_pagerank
-
-
-class TestCombiners:
-    def test_combine_by_sum(self):
-        dst = np.array([3, 1, 3, 1, 2])
-        values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        out_dst, out_values = combine_by_sum(dst, values)
-        assert list(out_dst) == [1, 2, 3]
-        assert list(out_values) == [6.0, 5.0, 4.0]
-
-    def test_combine_by_min(self):
-        dst = np.array([3, 1, 3, 1])
-        values = np.array([7.0, 2.0, 3.0, 4.0])
-        out_dst, out_values = combine_by_min(dst, values)
-        assert list(out_dst) == [1, 3]
-        assert list(out_values) == [2.0, 3.0]
-
-    def test_combine_by_max(self):
-        dst = np.array([0, 0, 1])
-        values = np.array([1.0, 9.0, 5.0])
-        out_dst, out_values = combine_by_max(dst, values)
-        assert list(out_dst) == [0, 1]
-        assert list(out_values) == [9.0, 5.0]
-
-    def test_combine_preserves_singletons(self):
-        dst = np.array([5])
-        values = np.array([1.5])
-        out_dst, out_values = combine_by_sum(dst, values)
-        assert list(out_dst) == [5] and list(out_values) == [1.5]
 
 
 class TestUpdateAggregation:
@@ -131,21 +103,23 @@ class TestVertexReplication:
 
 class TestCombinerGatherConsistency:
     """gather(combine(updates)) must equal gather(updates) — the
-    algebraic requirement for safe pre-aggregation."""
+    algebraic requirement for safe pre-aggregation.  Every combiner is
+    the one ``GasAlgorithm`` derives from the declared reduction."""
 
-    @pytest.mark.parametrize(
-        "algorithm_factory",
-        [
-            lambda: PageRank(),
-            lambda: BFS(),
-            lambda: WCC(),
-        ],
-        ids=["PR", "BFS", "WCC"],
-    )
-    def test_combined_gather_matches_raw(self, algorithm_factory):
-        from repro.core.gas import GraphContext
+    FACTORIES = {
+        "PR": lambda: PageRank(),
+        "BFS": lambda: BFS(),
+        "WCC": lambda: WCC(),
+        "SSSP": lambda: SSSP(),
+        "MIS": lambda: MIS(),
+        "SCC/forward": lambda: _ForwardColor(
+            np.zeros(16, dtype=bool), np.arange(16)
+        ),
+    }
 
-        algorithm = algorithm_factory()
+    @pytest.mark.parametrize("name", list(FACTORIES))
+    def test_combined_gather_matches_raw(self, name):
+        algorithm = self.FACTORIES[name]()
         ctx = GraphContext(
             num_vertices=16,
             num_edges=0,
@@ -155,7 +129,7 @@ class TestCombinerGatherConsistency:
         algorithm.init_values(ctx)
         rng = np.random.default_rng(7)
         dst = rng.integers(0, 16, size=50)
-        if algorithm.name in ("BFS", "WCC"):
+        if np.issubdtype(algorithm.make_accumulator(0).dtype, np.integer):
             values = rng.integers(0, 1000, size=50)
         else:
             values = rng.random(50)
@@ -168,7 +142,25 @@ class TestCombinerGatherConsistency:
         combined = algorithm.make_accumulator(16)
         algorithm.gather(combined, combined_dst, combined_values)
 
-        assert np.allclose(
-            np.asarray(raw, dtype=np.float64),
-            np.asarray(combined, dtype=np.float64),
+        assert np.array_equal(raw, combined)
+
+    @pytest.mark.parametrize(
+        "name, dst, values, expected_dst, expected_values",
+        [
+            ("PR", [3, 1, 3, 1, 2], [1.0, 2.0, 3.0, 4.0, 5.0],
+             [1, 2, 3], [6.0, 5.0, 4.0]),
+            ("SSSP", [3, 1, 3, 1], [7.0, 2.0, 3.0, 4.0], [1, 3], [2.0, 3.0]),
+            ("SCC/forward", [0, 0, 1], [1, 9, 5], [0, 1], [9, 5]),
+            ("PR", [5], [1.5], [5], [1.5]),
+        ],
+        ids=["sum", "min", "max", "singleton"],
+    )
+    def test_one_update_per_destination(
+        self, name, dst, values, expected_dst, expected_values
+    ):
+        algorithm = self.FACTORIES[name]()
+        out_dst, out_values = algorithm.combine_updates(
+            np.array(dst), np.array(values)
         )
+        assert out_dst.tolist() == expected_dst
+        assert out_values.tolist() == expected_values

@@ -10,11 +10,20 @@ from repro.algorithms import (
     WCC,
     BeliefPropagation,
     Conductance,
+    KCore,
     PageRank,
     SpMV,
 )
+from repro.algorithms.mcst import _HookPropagate, _MinEdgePick
+from repro.algorithms.scc import _BackwardConfirm, _ForwardColor
 from repro.core.gas import GasAlgorithm, GraphContext
-from repro.core.workload import GatherBuffer, canonical_update_order
+from repro.core.workload import (
+    DataWorkload,
+    GatherBuffer,
+    canonical_update_order,
+    needs_canonical_order,
+)
+from repro.partition.streaming import PartitionLayout
 
 
 ALL_SINGLE_JOB = [
@@ -103,6 +112,24 @@ class TestConstructorValidation:
             algorithm.init_values(ctx)
 
 
+def _random_updates(algorithm, rng, size):
+    """Update values of the algorithm's accumulator kind."""
+    if np.issubdtype(algorithm.make_accumulator(0).dtype, np.integer):
+        return rng.integers(-1, 100, size=size)
+    return rng.random(size)
+
+
+#: Every declared reduction that is exact in any order.
+ORDER_INSENSITIVE = [
+    BFS(),
+    WCC(),
+    SSSP(),
+    MIS(),
+    KCore(2),
+    _ForwardColor(np.zeros(8, dtype=bool), np.arange(8)),
+]
+
+
 class TestGatherMergeConsistency:
     """Merging a stealer's buffered updates into the master's and
     replaying them in canonical order must equal gathering every
@@ -111,7 +138,16 @@ class TestGatherMergeConsistency:
 
     @pytest.mark.parametrize(
         "algorithm",
-        [BFS(), WCC(), PageRank(), SpMV(), BeliefPropagation()],
+        [
+            BFS(),
+            WCC(),
+            PageRank(),
+            SpMV(),
+            BeliefPropagation(),
+            KCore(2),
+            SSSP(),
+            MIS(),
+        ],
         ids=lambda a: a.name,
     )
     def test_merge_equals_combined_gather(self, algorithm):
@@ -125,12 +161,8 @@ class TestGatherMergeConsistency:
         rng = np.random.default_rng(0)
         dst_a = rng.integers(0, 8, size=20)
         dst_b = rng.integers(0, 8, size=20)
-        if algorithm.name in ("BFS", "WCC"):
-            values_a = rng.integers(0, 100, size=20)
-            values_b = rng.integers(0, 100, size=20)
-        else:
-            values_a = rng.random(20)
-            values_b = rng.random(20)
+        values_a = _random_updates(algorithm, rng, 20)
+        values_b = _random_updates(algorithm, rng, 20)
 
         combined = algorithm.make_accumulator(8)
         algorithm.gather(combined, dst_a, values_a)
@@ -150,3 +182,75 @@ class TestGatherMergeConsistency:
             np.asarray(replayed, dtype=np.float64),
             np.asarray(combined, dtype=np.float64),
         )
+
+    @pytest.mark.parametrize("algorithm", ORDER_INSENSITIVE, ids=lambda a: a.name)
+    def test_arrival_order_equals_canonical_order(self, algorithm):
+        """The runtime skips the canonical sort for these reductions, so
+        gathering in arrival order must give the same bits."""
+        assert not needs_canonical_order(algorithm)
+        rng = np.random.default_rng(1)
+        dst = rng.integers(0, 8, size=200)
+        values = _random_updates(algorithm, rng, 200)
+        arrival = algorithm.make_accumulator(8)
+        algorithm.gather(arrival, dst, values)
+        order = canonical_update_order(dst, values)
+        canonical = algorithm.make_accumulator(8)
+        algorithm.gather(canonical, dst[order], values[order])
+        assert np.array_equal(arrival, canonical)
+
+
+class TestReductionDeclaration:
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            PageRank(),
+            SpMV(),
+            BeliefPropagation(),
+            Conductance(),
+            _BackwardConfirm(np.zeros(8, dtype=bool), np.arange(8)),
+            _MinEdgePick(),
+            _HookPropagate(np.full(8, -1)),
+        ],
+        ids=lambda a: a.name,
+    )
+    def test_float_sums_and_custom_gathers_keep_canonical_order(
+        self, algorithm
+    ):
+        assert needs_canonical_order(algorithm)
+
+    def test_custom_gathers_declare_no_reduction(self):
+        for algorithm in (Conductance(), _MinEdgePick()):
+            assert algorithm.reduction is None
+            assert algorithm.combine_updates(np.arange(3), np.ones(3)) is None
+
+    def _workload(self, algorithm):
+        ctx = GraphContext(num_vertices=4, num_edges=0, weighted=False)
+        return DataWorkload(algorithm, PartitionLayout.even(4, 1), ctx)
+
+    def test_neither_reduction_nor_gather_rejected(self):
+        class NoGather(GasAlgorithm):
+            def init_values(self, ctx):
+                return {"x": np.zeros(ctx.num_vertices)}
+
+            def scatter(self, values, src_local, dst, weight, iteration):
+                return None
+
+            def make_accumulator(self, n):
+                return np.zeros(n)
+
+            def apply(self, values, accum, iteration):
+                return 0
+
+        with pytest.raises(TypeError, match="NoGather"):
+            self._workload(NoGather())
+
+        class Product(NoGather):
+            reduction = np.multiply
+
+        with pytest.raises(TypeError, match="Product"):
+            self._workload(Product())
+
+        class Sum(NoGather):
+            reduction = np.add
+
+        assert needs_canonical_order(self._workload(Sum()).algorithm)
